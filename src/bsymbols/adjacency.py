@@ -2,10 +2,12 @@
 
 Two bipartitions of n with distinct kappa values are adjacent when no
 bipartition of n has a kappa strictly between them.  Adjacent pairs differ
-by a single box move on their kappa vectors; this module decides adjacency
-by exhaustive enumeration (the trustworthy oracle at this scale), extracts
-the move, refines arbitrary comparisons into saturated chains, and checks
-the structural facts about adjacency frames used elsewhere.
+by a single box move on their kappa vectors.  Every adjacency, chain and
+Hasse query of rank n reads one cached dominance poset of all the rank's
+kappa values, built by a bit-parallel kernel over their prefix sums.  This
+module also extracts the move, refines arbitrary comparisons into
+saturated chains, and checks the structural facts about adjacency frames
+used elsewhere.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._util import iter_bits
 from .errors import (
     NoSingleMove,
     NotAdjacent,
@@ -57,49 +58,63 @@ def frame(k: Kappa, k2: Kappa) -> AdjacencyFrame:
     return AdjacencyFrame(k, k2, i, j)
 
 
+class Poset(NamedTuple):
+    entries: tuple[Parts, ...]  # decreasing kappa, the family table's order
+    index: dict[Parts, int]
+    above: tuple[int, ...]  # bitmask of the nodes strictly dominating node i
+    cover_up: tuple[tuple[int, ...], ...]  # covers of node i, increasing kappa
+
+
 @lru_cache(maxsize=None)
-def _poset(n: int, b: int):
+def _poset(n: int, b: int) -> Poset:
     """Dominance poset of the distinct kappa vectors of rank n at N = n.
 
-    Returns (entries, index, above, below, cover_up, cover_set) where above
-    and below are strict-dominance bitmasks and cover_up[i] lists the covers
-    of node i sorted by increasing kappa.
+    A pass over the positions keeps the m prefix sums and narrows each
+    node's bitmask to the nodes whose sum is at least its own; the vectors
+    are distinct, so what is left is strict dominance.  Covers are taken
+    smallest kappa first: that one is a cover, and all above it is dropped.
     """
     entries = tuple(f.kappa.entries for f in family_table(n, b).families)
     m = len(entries)
-    above = [0] * m
-    below = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and dominance_leq(entries[i], entries[j]):
-                above[i] |= 1 << j
-                below[j] |= 1 << i
-    cover_up: list[tuple[int, ...]] = []
-    for i in range(m):
-        ups = [j for j in iter_bits(above[i]) if not above[i] & below[j]]
-        cover_up.append(tuple(sorted(ups, key=lambda j: entries[j])))
-    cover_set = frozenset((i, j) for i in range(m) for j in cover_up[i])
+    full = (1 << m) - 1
+    above = [full ^ 1 << i for i in range(m)]
+    sums = [0] * m
+    for column in zip(*entries):
+        sums = [s + x for s, x in zip(sums, column)]
+        at_least: dict[int, int] = {}
+        mask = 0
+        for i in sorted(range(m), key=sums.__getitem__, reverse=True):
+            mask |= 1 << i
+            at_least[sums[i]] = mask
+        above = [a & at_least[s] for a, s in zip(above, sums)]
+    cover_up = []
+    for rest in above:
+        ups = []
+        while rest:
+            j = rest.bit_length() - 1
+            ups.append(j)
+            rest &= ~(above[j] | 1 << j)
+        cover_up.append(tuple(ups))
     index = {e: i for i, e in enumerate(entries)}
-    return entries, index, tuple(above), tuple(below), tuple(cover_up), cover_set
+    return Poset(entries, index, tuple(above), tuple(cover_up))
 
 
 def _located(a: Bipartition, c: Bipartition, b: int):
     n = a.rank
     if c.rank != n:
         raise RankMismatch(f"ranks differ: {a.text()} has {n}, {c.text()} has {c.rank}")
-    entries, index, above, below, cover_up, cover_set = _poset(n, b)
-    return n, index[kappa(a, b, n).entries], index[kappa(c, b, n).entries]
+    poset = _poset(n, b)
+    return poset, poset.index[kappa(a, b, n).entries], poset.index[kappa(c, b, n).entries]
 
 
 def is_adjacent(a: Bipartition, c: Bipartition, b: int) -> bool:
     """True when kappa(a) is covered by kappa(c) among all rank-n values."""
-    n, ia, ic = _located(a, c, b)
-    entries, index, above, below, cover_up, cover_set = _poset(n, b)
+    poset, ia, ic = _located(a, c, b)
     if ia == ic:
         raise NotComparable(f"{a.text()} and {c.text()} have equal kappa")
-    if not above[ia] >> ic & 1:
+    if not poset.above[ia] >> ic & 1:
         raise NotComparable(f"kappa of {a.text()} is not strictly below that of {c.text()}")
-    return (ia, ic) in cover_set
+    return ic in poset.cover_up[ia]
 
 
 def _single_move(lo: Parts, hi: Parts) -> BoxMove:
@@ -127,8 +142,8 @@ def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]
     intermediate steps are represented by the textually first member of
     their family, so the chain is deterministic.
     """
-    n, ia, ic = _located(a, c, b)
-    entries, index, above, below, cover_up, cover_set = _poset(n, b)
+    poset, ia, ic = _located(a, c, b)
+    above = poset.above
     if ia == ic:
         return [a] if a == c else [a, c]
     if not above[ia] >> ic & 1:
@@ -136,9 +151,9 @@ def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]
     path = [ia]
     while path[-1] != ic:
         path.append(
-            next(j for j in cover_up[path[-1]] if j == ic or above[j] >> ic & 1)
+            next(j for j in poset.cover_up[path[-1]] if j == ic or above[j] >> ic & 1)
         )
-    table = family_table(n, b)
+    table = family_table(a.rank, b)
     reps = [table.families[i].members[0] for i in path]
     return [a] + reps[1:-1] + [c]
 

@@ -26,6 +26,19 @@ from .symbols import Bipartition, Kappa, Symbol, a_value, kappa, symbol
 from .verify import run_suites
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for --b, --n, --N and --max-n; a bad value exits 2."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def weight_list(text: str) -> tuple[int, ...]:
+    """argparse type for --b-list: one or more weights, sorted and deduplicated."""
+    return tuple(sorted({nonnegative_int(v) for v in text.split(",")}))
+
+
 def _record(s: Symbol, k: Kappa) -> dict:
     return {
         "b": s.b,
@@ -167,8 +180,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    b_list = tuple(sorted({int(v) for v in args.b_list.split(",")}))
-    results = run_suites(args.max_n, b_list, oracle=args.oracle)
+    results = run_suites(args.max_n, args.b_list, oracle=args.oracle)
     failed = False
     for r in results:
         if r.ok:
@@ -208,44 +220,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("symbol", cmd_symbol, help="print the (b, N)-symbol and kappa of a bipartition")
     p.add_argument("bipartition", help="textual form, e.g. 5,1|2,2,1")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--b", type=nonnegative_int, required=True)
+    p.add_argument("--N", type=nonnegative_int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = add("kappa", cmd_kappa, help="print the kappa vector of a bipartition")
     p.add_argument("bipartition")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--b", type=nonnegative_int, required=True)
+    p.add_argument("--N", type=nonnegative_int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = add("families", cmd_families, help="group the bipartitions of n into families")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
+    p.add_argument("--b", type=nonnegative_int, required=True)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p = add("avalues", cmd_avalues, help="a-value of every bipartition of n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
+    p.add_argument("--b", type=nonnegative_int, required=True)
 
     p = add("compare", cmd_compare, help="compare two bipartitions under dominance")
     p.add_argument("bipartition")
     p.add_argument("bipartition2")
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=nonnegative_int, required=True)
 
     p = add("chain", cmd_chain, help="saturated chain with one witness per step")
     p.add_argument("bipartition")
     p.add_argument("bipartition2")
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=nonnegative_int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = add("verify", cmd_verify, help="run the property suites")
-    p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p.add_argument("--b-list", default="0,1,2,3", dest="b_list")
+    p.add_argument("--max-n", type=nonnegative_int, default=6, dest="max_n")
+    p.add_argument("--b-list", type=weight_list, default="0,1,2,3", dest="b_list")
     p.add_argument("--oracle", action="store_true")
 
     p = add("hasse", cmd_hasse, help="Hasse diagram of the families as a dot graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
+    p.add_argument("--b", type=nonnegative_int, required=True)
 
     return parser
 

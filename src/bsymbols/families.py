@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._util import iter_bits
-from .partitions import Parts, dominance_leq, partitions_of
+from .partitions import Parts, partitions_of
 from .symbols import EMPTY, Bipartition, Kappa, kappa, n_stat
 
 
@@ -72,23 +71,15 @@ class HasseDiagram(NamedTuple):
 
 
 def family_hasse(table: FamilyTable) -> HasseDiagram:
-    """Covering relation of dominance on the distinct kappa values."""
+    """Covering relation of dominance on the distinct kappa values.
+
+    Reads the covers of the rank's cached dominance poset (`_poset` in the
+    adjacency module), so the comparisons run once per (n, b) in a process.
+    """
+    from .adjacency import _poset  # adjacency imports this module
+
+    cover_up = _poset(table.n, table.b).cover_up
     nodes = tuple(f.kappa for f in table.families)
-    entries = [k.entries for k in nodes]
-    m = len(entries)
-    above = [0] * m  # strict dominance, as bitmasks
-    below = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and dominance_leq(entries[i], entries[j]):
-                above[i] |= 1 << j
-                below[j] |= 1 << i
-    edges = tuple(
-        sorted(
-            (i, j)
-            for i in range(m)
-            for j in iter_bits(above[i])
-            if not above[i] & below[j]
-        )
-    )
+    # covers come in increasing kappa, which is decreasing index
+    edges = tuple((i, j) for i, ups in enumerate(cover_up) for j in reversed(ups))
     return HasseDiagram(nodes, edges)

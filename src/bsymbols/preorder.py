@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Set
 
-from ._util import iter_bits
+from ._util import generated_preorder
 from .adjacency import _single_move, adjacency_move
 from .errors import NotAPartition, NotSympartition, RankMismatch, WitnessInvalid
 from .families import enumerate_bipartitions
@@ -161,61 +161,32 @@ class PreceqOracle:
 def _oracle_rows(n: int, b: int) -> tuple[int, ...]:
     bips = enumerate_bipartitions(n)
     kaps = _kappas_at(n, b)
-    m = len(bips)
-    index = {bp: i for i, bp in enumerate(bips)}
-    tr = [index[bp.transpose()] for bp in bips]
-
-    def transported(mask: int) -> int:
-        out = 0
-        for i in iter_bits(mask):
-            out |= 1 << tr[i]
-        return out
-
-    rows = [0] * m
     groups: dict[Parts, int] = {}
     for i, e in enumerate(kaps):
         groups[e] = groups.get(e, 0) | 1 << i
-    for i, e in enumerate(kaps):
-        rows[i] |= groups[e]  # reflexivity and family equivalence
 
-    for k in range(n):
-        l = n - k
-        sub_bips = enumerate_bipartitions(k)
-        sub_rows = _oracle_rows(k, b)
-        ind_masks = []
-        trunc_masks = []
-        for nu in sub_bips:
-            base = kappa(nu, b, n).entries
-            target = _truncated(base, l)
-            imask = tmask = 0
-            for j, e in enumerate(kaps):
-                if _is_increment(base, e, l):
-                    imask |= 1 << j
-                if e == target:
-                    tmask |= 1 << j
-            ind_masks.append(imask)
-            trunc_masks.append(tmask)
-        for i_nu in range(len(sub_bips)):
-            union_trunc = 0
-            for j_nu in iter_bits(sub_rows[i_nu]):
-                union_trunc |= trunc_masks[j_nu]
-            for x in iter_bits(ind_masks[i_nu]):
-                rows[x] |= union_trunc
-            t_ind = transported(ind_masks[i_nu])
-            for x in iter_bits(transported(union_trunc)):
-                rows[x] |= t_ind
+    def steps():
+        for k in range(n):
+            l = n - k
+            ind_masks = []
+            trunc_masks = []
+            for nu in enumerate_bipartitions(k):
+                base = kappa(nu, b, n).entries
+                target = _truncated(base, l)
+                imask = tmask = 0
+                for j, e in enumerate(kaps):
+                    if _is_increment(base, e, l):
+                        imask |= 1 << j
+                    if e == target:
+                        tmask |= 1 << j
+                ind_masks.append(imask)
+                trunc_masks.append(tmask)
+            yield _oracle_rows(k, b), ind_masks, trunc_masks
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m):
-            new = rows[i]
-            for j in iter_bits(new):
-                new |= rows[j]
-            if new != rows[i]:
-                rows[i] = new
-                changed = True
-    return tuple(rows)
+    index = {bp: i for i, bp in enumerate(bips)}
+    tr = [index[bp.transpose()] for bp in bips]
+    # reflexivity and family equivalence to start with
+    return generated_preorder([groups[e] for e in kaps], tr, steps())
 
 
 def preceq_oracle(n: int, b: int) -> PreceqOracle:

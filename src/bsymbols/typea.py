@@ -14,8 +14,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Set
 
-from ._util import iter_bits
-from .errors import NoSingleMove, NotAdjacent, SizeMismatch
+from ._util import generated_preorder
+from .adjacency import _single_move
+from .errors import NotAdjacent, SizeMismatch
 from .partitions import (
     BoxMove,
     Parts,
@@ -90,52 +91,25 @@ class TypeAOracle:
 @lru_cache(maxsize=None)
 def _typea_rows(n: int) -> tuple[int, ...]:
     parts = partitions_of(n)
-    m = len(parts)
     index = {p: i for i, p in enumerate(parts)}
+
+    def steps():
+        for k in range(n):
+            l = n - k
+            pieri_masks = []
+            trunc_masks = []
+            for p in partitions_of(k):
+                pmask = tmask = 0
+                for q in pieri_targets(p, l):
+                    pmask |= 1 << index[q]
+                for q in truncated_pieri_targets(p, l):
+                    tmask |= 1 << index[q]
+                pieri_masks.append(pmask)
+                trunc_masks.append(tmask)
+            yield _typea_rows(k), pieri_masks, trunc_masks
+
     tr = [index[transpose(p)] for p in parts]
-
-    def transported(mask: int) -> int:
-        out = 0
-        for i in iter_bits(mask):
-            out |= 1 << tr[i]
-        return out
-
-    rows = [1 << i for i in range(m)]
-    for k in range(n):
-        l = n - k
-        sub_parts = partitions_of(k)
-        sub_rows = _typea_rows(k)
-        pieri_masks = []
-        trunc_masks = []
-        for p in sub_parts:
-            pmask = tmask = 0
-            for q in pieri_targets(p, l):
-                pmask |= 1 << index[q]
-            for q in truncated_pieri_targets(p, l):
-                tmask |= 1 << index[q]
-            pieri_masks.append(pmask)
-            trunc_masks.append(tmask)
-        for i_p in range(len(sub_parts)):
-            union_trunc = 0
-            for j_p in iter_bits(sub_rows[i_p]):
-                union_trunc |= trunc_masks[j_p]
-            for x in iter_bits(pieri_masks[i_p]):
-                rows[x] |= union_trunc
-            t_pieri = transported(pieri_masks[i_p])
-            for x in iter_bits(transported(union_trunc)):
-                rows[x] |= t_pieri
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m):
-            new = rows[i]
-            for j in iter_bits(new):
-                new |= rows[j]
-            if new != rows[i]:
-                rows[i] = new
-                changed = True
-    return tuple(rows)
+    return generated_preorder([1 << i for i in range(len(parts))], tr, steps())
 
 
 def preceq_typeA_oracle(n: int) -> TypeAOracle:
@@ -157,10 +131,4 @@ def adjacent_single_box(p: Parts, q: Parts) -> BoxMove:
         if r != p and r != q and dominance_leq(p, r) and dominance_leq(r, q):
             raise NotAdjacent(f"{r} lies strictly between {p} and {q}")
     width = max(len(p), len(q))
-    lo, hi = padded(p, width), padded(q, width)
-    plus = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if y == x + 1]
-    minus = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if y == x - 1]
-    stray = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if abs(y - x) > 1]
-    if stray or len(plus) != 1 or len(minus) != 1 or plus[0] >= minus[0]:
-        raise NoSingleMove(f"{q} is not a single raised box away from {p}")
-    return BoxMove(plus[0], minus[0])
+    return _single_move(padded(p, width), padded(q, width))

@@ -313,7 +313,7 @@ def suite_asymptotic(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
 def _adjacent_family_pairs(n: int, b: int):
     """Covering kappa pairs with their family tables, at N = n."""
     table = family_table(n, b)
-    entries, index, above, below, cover_up, cover_set = _poset(n, b)
+    cover_up = _poset(n, b).cover_up
     for i, fam in enumerate(table.families):
         for j in cover_up[i]:
             yield fam, table.families[j]
@@ -421,15 +421,15 @@ def suite_a_monotone(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
     for n in range(max_n + 1):
         for b in b_list:
             table = family_table(n, b)
-            entries, index, above, below, cover_up, cover_set = _poset(n, b)
+            poset = _poset(n, b)
             a_of = [fam.a for fam in table.families]
-            for i in range(len(entries)):
-                for j in iter_bits(above[i]):
+            for i, above in enumerate(poset.above):
+                for j in iter_bits(above):
                     checked += 1
                     if a_of[i] < a_of[j]:
                         return False, (
-                            f"a increases along dominance: {entries[i]} -> {entries[j]} "
-                            f"(n={n}, b={b})"
+                            f"a increases along dominance: {poset.entries[i]} -> "
+                            f"{poset.entries[j]} (n={n}, b={b})"
                         )
     return True, f"{checked} comparable pairs checked"
 

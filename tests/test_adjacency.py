@@ -1,6 +1,7 @@
 import pytest
 
 from bsymbols.adjacency import (
+    _poset,
     adjacency_move,
     frame,
     is_adjacent,
@@ -13,7 +14,7 @@ from bsymbols.errors import (
     NotStrictlyDominated,
     PreconditionViolated,
 )
-from bsymbols.families import enumerate_bipartitions
+from bsymbols.families import enumerate_bipartitions, family_hasse, family_table
 from bsymbols.partitions import BoxMove, dominance_leq, up
 from bsymbols.symbols import Bipartition, Kappa, kappa
 
@@ -35,6 +36,40 @@ def brute_adjacent(a, c, b):
         if dominance_leq(ka, e) and dominance_leq(e, kc):
             return False
     return True
+
+
+def reference_poset(entries):
+    """Strict dominance and covers by comparing every pair of vectors.
+
+    Returns above[i], the set of j strictly dominating i, and cover_up[i],
+    the j in above[i] with nothing strictly between, by increasing kappa.
+    """
+    m = len(entries)
+    above = [
+        {j for j in range(m) if j != i and dominance_leq(entries[i], entries[j])}
+        for i in range(m)
+    ]
+    below = [{i for i in range(m) if j in above[i]} for j in range(m)]
+    cover_up = [
+        tuple(sorted((j for j in above[i] if not above[i] & below[j]), key=entries.__getitem__))
+        for i in range(m)
+    ]
+    return above, cover_up
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_poset_kernel_matches_pairwise_reference(n):
+    # b = n and b = n + 1 make every family a singleton: the densest bitmasks
+    for b in range(n + 2):
+        table = family_table(n, b)
+        entries = [f.kappa.entries for f in table.families]
+        above, cover_up = reference_poset(entries)
+        poset = _poset(n, b)
+        assert list(poset.entries) == entries
+        assert list(poset.above) == [sum(1 << j for j in s) for s in above]
+        assert list(poset.cover_up) == cover_up
+        edges = sorted((i, j) for i, ups in enumerate(cover_up) for j in ups)
+        assert list(family_hasse(table).edges) == edges
 
 
 def test_frame_examples():

@@ -228,8 +228,9 @@ def test_verify_reports_failing_suite(capsys, monkeypatch):
         for name, fn in verify_module.SUITES
     )
     monkeypatch.setattr(verify_module, "SUITES", patched)
-    code, out, _ = run(capsys, "verify", "--max-n", "0", "--b-list", "0")
+    code, out, err = run(capsys, "verify", "--max-n", "0", "--b-list", "0")
     assert code == 1
+    assert "Traceback" not in err
     assert "FAIL kappa-is-sympartition: intentional corruption" in out
     assert out.strip().splitlines()[-1] == "FAILED"
 
@@ -251,6 +252,38 @@ def test_commands_byte_identical_across_runs(capsys):
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["kappa", "1|2", "--b", "1"], 0),
+        (["verify", "--max-n", "0", "--b-list", "1,0,1"], 0),
+        # the contract probes: negative integers and an empty weight list
+        (["kappa", "1|2", "--b", "-1"], 2),
+        (["families", "--n", "-1", "--b", "1"], 2),
+        (["families", "--n", "3", "--b", "-2"], 2),
+        (["verify", "--b-list", ""], 2),
+        (["verify", "--b-list", "1,x"], 2),
+        (["verify", "--max-n", "-1"], 2),
+        (["families", "--n", "x", "--b", "1"], 2),
+        (["symbol", "5,1|2,2,1", "--b", "2", "--N", "-1"], 2),
+        (["symbol", "1,2|-", "--b", "1"], 2),
+        (["kappa", "1|2", "--b", "1", "--N", "0"], 3),
+        (["chain", "-|3,1", "1,1|2", "--b", "1"], 4),
+        (["chain", "1|1", "1|2", "--b", "1"], 4),
+    ],
+)
+def test_exit_code_contract(capsys, argv, code):
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    out = capsys.readouterr()
+    assert got == code
+    assert "Traceback" not in out.err
+    if code:
+        assert out.out == ""
 
 
 def test_missing_subcommand_exits_2():
