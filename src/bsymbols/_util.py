@@ -1,8 +1,8 @@
-"""Small internal helpers."""
+"""Small internal helpers and the generated-preorder kernel."""
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -13,41 +13,71 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def generated_preorder(rows: list[int], tr: list[int], steps) -> tuple[int, ...]:
-    """Close bitset rows under induction steps, transposition and transitivity.
+def generated_preorder(n, elements_of, lower_rows, targets, start, transpose) -> tuple[int, ...]:
+    """Bitset rows of the preorder on elements_of(n) generated by induction steps.
 
-    rows[i] is the set of j with i related to j, reflexive to start with;
-    tr[i] indexes the transpose of element i.  Each step is (sub_rows,
-    ind_masks, trunc_masks) at a smaller rank: when nu is related to nu'
-    there, every induced target of nu is related to the truncated target
-    of nu', and their transposes are related the other way round.
+    Row i is the set of j with element i related to element j; start gives
+    the rows to begin with, reflexive at least.  For each rank k < n and
+    l = n - k, targets(nu, l) is the pair (induced, truncated) of rank-n
+    elements reached from nu in elements_of(k).  When nu is related to nu'
+    at rank k (lower_rows(k)), every induced target of nu is related to
+    every truncated target of nu', and their transposes the other way
+    round.  One Warshall pass then closes the rows under transitivity.
     """
+    elements = elements_of(n)
+    index = {x: i for i, x in enumerate(elements)}
+    tr = [index[transpose(x)] for x in elements]
+    rows = list(start)
 
-    def transported(mask: int) -> int:
+    def bits(indices) -> int:
         out = 0
-        for i in iter_bits(mask):
-            out |= 1 << tr[i]
+        for i in indices:
+            out |= 1 << i
         return out
 
-    for sub_rows, ind_masks, trunc_masks in steps:
-        for sub_row, ind in zip(sub_rows, ind_masks):
+    for k in range(n):
+        l = n - k
+        pairs = [targets(nu, l) for nu in elements_of(k)]
+        ind_masks = [bits(index[x] for x in ind) for ind, _ in pairs]
+        trunc_masks = [bits(index[x] for x in trunc) for _, trunc in pairs]
+        for sub_row, ind in zip(lower_rows(k), ind_masks):
             union_trunc = 0
             for j in iter_bits(sub_row):
                 union_trunc |= trunc_masks[j]
             for x in iter_bits(ind):
                 rows[x] |= union_trunc
-            t_ind = transported(ind)
-            for x in iter_bits(transported(union_trunc)):
-                rows[x] |= t_ind
+            t_ind = bits(tr[x] for x in iter_bits(ind))
+            for x in iter_bits(union_trunc):
+                rows[tr[x]] |= t_ind
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rows)):
-            new = rows[i]
-            for j in iter_bits(new):
-                new |= rows[j]
-            if new != rows[i]:
-                rows[i] = new
-                changed = True
+    for k, row_k in enumerate(rows):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
     return tuple(rows)
+
+
+class GeneratedPreorder:
+    """A preorder on a tuple of elements, one bitset row per element."""
+
+    def __init__(self, elements: tuple, rows: tuple[int, ...], label: Callable[..., str]):
+        self.elements = elements
+        self._index = {x: i for i, x in enumerate(elements)}
+        self._rows = rows
+        self._label = label
+
+    def holds(self, x, y) -> bool:
+        return bool(self._rows[self._index[x]] >> self._index[y] & 1)
+
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        m = len(self.elements)
+        return tuple(tuple(row >> j & 1 for j in range(m)) for row in self._rows)
+
+    def render(self) -> str:
+        """Square 0/1 matrix with a header row of element labels."""
+        labels = [self._label(x) for x in self.elements]
+        lines = ["\t".join(labels)]
+        for label, row in zip(labels, self.matrix()):
+            lines.append(label + "\t" + "\t".join(str(v) for v in row))
+        return "\n".join(lines)

@@ -2,8 +2,9 @@
 
 Subcommands: symbol, kappa, families, avalues, compare, chain, verify,
 hasse.  All output is deterministic; exit codes are 0 for success, 1 for a
-verification failure, 2 for a parse error, 3 for an inadmissible N and 4
-for incomparable inputs.
+verification failure, 2 for a parse error, 3 for an inadmissible N, 4
+for incomparable inputs and 5 for an internal error (a tripwire such as
+NoSingleMove or WitnessInvalid).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 
 from .adjacency import adjacency_move, saturated_chain
 from .errors import (
+    BSymbolsError,
     NotAdmissible,
     NotAPartition,
     NotComparable,
@@ -251,7 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = add("verify", cmd_verify, help="run the property suites")
-    p.add_argument("--max-n", type=nonnegative_int, default=6, dest="max_n")
+    p.add_argument(
+        "--max-n",
+        type=nonnegative_int,
+        default=6,
+        dest="max_n",
+        help="largest rank checked (default 6); sympartition-roundtrip ignores it and "
+        "--b-list, and always checks every sympartition of total <= 30, N <= 6, b <= 8",
+    )
     p.add_argument("--b-list", type=weight_list, default="0,1,2,3", dest="b_list")
     p.add_argument("--oracle", action="store_true")
 
@@ -281,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NotComparable, RankMismatch) as exc:
         print(f"incomparable: {exc}", file=sys.stderr)
         return 4
+    except BSymbolsError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Set
 
-from ._util import generated_preorder
+from ._util import GeneratedPreorder, generated_preorder
 from .adjacency import _single_move, adjacency_move
 from .errors import NotAPartition, NotSympartition, RankMismatch, WitnessInvalid
 from .families import enumerate_bipartitions
@@ -131,62 +131,30 @@ def preceq(a: Bipartition, c: Bipartition, b: int) -> bool:
     return dominance_leq(kappa(a, b, n).entries, kappa(c, b, n).entries)
 
 
-class PreceqOracle:
+class PreceqOracle(GeneratedPreorder):
     """The relation generated by the elementary steps at one rank."""
 
     def __init__(self, n: int, b: int, bipartitions: tuple[Bipartition, ...], rows: tuple[int, ...]):
+        super().__init__(bipartitions, rows, Bipartition.text)
         self.n = n
         self.b = b
         self.bipartitions = bipartitions
-        self._index = {bp: i for i, bp in enumerate(bipartitions)}
-        self._rows = rows
-
-    def holds(self, a: Bipartition, c: Bipartition) -> bool:
-        return bool(self._rows[self._index[a]] >> self._index[c] & 1)
-
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        m = len(self.bipartitions)
-        return tuple(tuple(row >> j & 1 for j in range(m)) for row in self._rows)
-
-    def render(self) -> str:
-        """Square 0/1 matrix with a header row of bipartition labels."""
-        header = "\t".join(bp.text() for bp in self.bipartitions)
-        lines = [header]
-        for bp, row in zip(self.bipartitions, self.matrix()):
-            lines.append(bp.text() + "\t" + "\t".join(str(v) for v in row))
-        return "\n".join(lines)
 
 
 @lru_cache(maxsize=None)
 def _oracle_rows(n: int, b: int) -> tuple[int, ...]:
-    bips = enumerate_bipartitions(n)
     kaps = _kappas_at(n, b)
     groups: dict[Parts, int] = {}
     for i, e in enumerate(kaps):
         groups[e] = groups.get(e, 0) | 1 << i
-
-    def steps():
-        for k in range(n):
-            l = n - k
-            ind_masks = []
-            trunc_masks = []
-            for nu in enumerate_bipartitions(k):
-                base = kappa(nu, b, n).entries
-                target = _truncated(base, l)
-                imask = tmask = 0
-                for j, e in enumerate(kaps):
-                    if _is_increment(base, e, l):
-                        imask |= 1 << j
-                    if e == target:
-                        tmask |= 1 << j
-                ind_masks.append(imask)
-                trunc_masks.append(tmask)
-            yield _oracle_rows(k, b), ind_masks, trunc_masks
-
-    index = {bp: i for i, bp in enumerate(bips)}
-    tr = [index[bp.transpose()] for bp in bips]
-    # reflexivity and family equivalence to start with
-    return generated_preorder([groups[e] for e in kaps], tr, steps())
+    return generated_preorder(
+        n,
+        enumerate_bipartitions,
+        lambda k: _oracle_rows(k, b),
+        lambda nu, l: (induction_targets(nu, l, b), truncated_targets(nu, l, b)),
+        [groups[e] for e in kaps],  # reflexivity and family equivalence to start with
+        Bipartition.transpose,
+    )
 
 
 def preceq_oracle(n: int, b: int) -> PreceqOracle:

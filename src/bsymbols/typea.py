@@ -14,14 +14,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Set
 
-from ._util import generated_preorder
+from ._util import GeneratedPreorder, generated_preorder
 from .adjacency import _single_move
-from .errors import NotAdjacent, SizeMismatch
+from .errors import NoSingleMove, NotAdjacent, SizeMismatch
 from .partitions import (
     BoxMove,
     Parts,
     as_partition,
     dominance_leq,
+    format_partition,
     normalize,
     padded,
     partitions_of,
@@ -63,53 +64,28 @@ def truncated_pieri_targets(p: Parts, l: int) -> Set[Parts]:
     return {normalize(tuple(v + 1 if t < l else v for t, v in enumerate(base)))}
 
 
-class TypeAOracle:
+class TypeAOracle(GeneratedPreorder):
     """The relation generated by the Pieri steps at one rank."""
 
     def __init__(self, n: int, partitions: tuple[Parts, ...], rows: tuple[int, ...]):
+        super().__init__(partitions, rows, format_partition)
         self.n = n
         self.partitions = partitions
-        self._index = {p: i for i, p in enumerate(partitions)}
-        self._rows = rows
 
     def holds(self, p: Parts, q: Parts) -> bool:
-        return bool(self._rows[self._index[normalize(p)]] >> self._index[normalize(q)] & 1)
-
-    def render(self) -> str:
-        """Square 0/1 matrix with a header row of partition labels."""
-        from .partitions import format_partition
-
-        m = len(self.partitions)
-        header = "\t".join(format_partition(p) for p in self.partitions)
-        lines = [header]
-        for i, p in enumerate(self.partitions):
-            row = "\t".join(str(self._rows[i] >> j & 1) for j in range(m))
-            lines.append(format_partition(p) + "\t" + row)
-        return "\n".join(lines)
+        return super().holds(normalize(p), normalize(q))
 
 
 @lru_cache(maxsize=None)
 def _typea_rows(n: int) -> tuple[int, ...]:
-    parts = partitions_of(n)
-    index = {p: i for i, p in enumerate(parts)}
-
-    def steps():
-        for k in range(n):
-            l = n - k
-            pieri_masks = []
-            trunc_masks = []
-            for p in partitions_of(k):
-                pmask = tmask = 0
-                for q in pieri_targets(p, l):
-                    pmask |= 1 << index[q]
-                for q in truncated_pieri_targets(p, l):
-                    tmask |= 1 << index[q]
-                pieri_masks.append(pmask)
-                trunc_masks.append(tmask)
-            yield _typea_rows(k), pieri_masks, trunc_masks
-
-    tr = [index[transpose(p)] for p in parts]
-    return generated_preorder([1 << i for i in range(len(parts))], tr, steps())
+    return generated_preorder(
+        n,
+        partitions_of,
+        _typea_rows,
+        lambda p, l: (pieri_targets(p, l), truncated_pieri_targets(p, l)),
+        [1 << i for i in range(len(partitions_of(n)))],
+        transpose,
+    )
 
 
 def preceq_typeA_oracle(n: int) -> TypeAOracle:
@@ -120,15 +96,22 @@ def preceq_typeA_oracle(n: int) -> TypeAOracle:
 
 
 def adjacent_single_box(p: Parts, q: Parts) -> BoxMove:
-    """The unique box move between two adjacent partitions of n."""
+    """The box move by which q covers p in the dominance order on partitions of n.
+
+    By Brylawski's criterion (The lattice of integer partitions, 1973), q
+    covers p exactly when q = up(p, Up(k1, k2)) with k2 = k1 + 1 or
+    p_k1 = p_k2.
+    """
     p = normalize(as_partition(p))
     q = normalize(as_partition(q))
     if size(p) != size(q):
         raise SizeMismatch(f"|{p}| != |{q}|")
     if p == q or not dominance_leq(p, q):
         raise NotAdjacent(f"{p} is not strictly dominated by {q}")
-    for r in partitions_of(size(p)):
-        if r != p and r != q and dominance_leq(p, r) and dominance_leq(r, q):
-            raise NotAdjacent(f"{r} lies strictly between {p} and {q}")
-    width = max(len(p), len(q))
-    return _single_move(padded(p, width), padded(q, width))
+    try:
+        move = _single_move(p, padded(q, len(p)))  # q dominating p has no more parts
+    except NoSingleMove as exc:
+        raise NotAdjacent(f"{q} is not one box above {p}") from exc
+    if move.k2 > move.k1 + 1 and p[move.k1 - 1] != p[move.k2 - 1]:
+        raise NotAdjacent(f"a partition lies strictly between {p} and {q}")
+    return move

@@ -235,6 +235,39 @@ def test_verify_reports_failing_suite(capsys, monkeypatch):
     assert out.strip().splitlines()[-1] == "FAILED"
 
 
+def test_chain_tripwire_exits_5(capsys, monkeypatch):
+    from bsymbols.errors import WitnessInvalid
+
+    def broken(a, c, b):
+        raise WitnessInvalid("intentional tripwire")
+
+    monkeypatch.setattr(cli, "witness_step", broken)
+    code, out, err = run(capsys, "chain", "-|1,1,1", "3|-", "--b", "1")
+    assert code == 5
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("internal error:") and "intentional tripwire" in err
+
+
+def test_verify_tripwire_exits_5(capsys, monkeypatch):
+    from bsymbols import verify as verify_module
+    from bsymbols.errors import NoSingleMove
+
+    def broken(max_n, b_list):
+        raise NoSingleMove("intentional tripwire")
+
+    patched = tuple(
+        (name, broken if name == "partition-order-axioms" else fn)
+        for name, fn in verify_module.SUITES
+    )
+    monkeypatch.setattr(verify_module, "SUITES", patched)
+    code, out, err = run(capsys, "verify", "--max-n", "0", "--b-list", "0")
+    assert code == 5
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("internal error:") and "intentional tripwire" in err
+
+
 def test_verify_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--max-n", "2", "--b-list", "0,1", "--oracle")
     code2, out2, _ = run(capsys, "verify", "--max-n", "2", "--b-list", "0,1", "--oracle")

@@ -1,7 +1,7 @@
 import pytest
 
 from bsymbols.errors import NotAdjacent
-from bsymbols.partitions import BoxMove, dominance_leq, partitions_of, size
+from bsymbols.partitions import BoxMove, dominance_leq, normalize, partitions_of, size, up
 from bsymbols.typea import (
     a_value_typeA,
     adjacent_single_box,
@@ -83,8 +83,8 @@ def test_oracle_incomparable_pair_rank6():
     assert not oracle.holds((4, 1, 1), (3, 3))
 
 
-def test_oracle_equals_dominance_up_to_6():
-    for n in range(7):
+def test_oracle_equals_dominance_up_to_10():
+    for n in range(11):
         oracle = preceq_typeA_oracle(n)
         for p in partitions_of(n):
             for q in partitions_of(n):
@@ -126,3 +126,23 @@ def test_adjacent_single_box_examples():
     assert adjacent_single_box((1, 1, 1), (2, 1)) == BoxMove(1, 3)
     with pytest.raises(NotAdjacent):
         adjacent_single_box((1, 1, 1), (3,))
+
+
+def test_adjacent_single_box_matches_betweenness_scan():
+    # reference: q covers p when no partition of n lies strictly between
+    for n in range(10):
+        ps = partitions_of(n)
+        for p in ps:
+            for q in ps:
+                if p == q or not dominance_leq(p, q):
+                    continue
+                between = any(
+                    r != p and r != q and dominance_leq(p, r) and dominance_leq(r, q)
+                    for r in ps
+                )
+                if between:
+                    with pytest.raises(NotAdjacent):
+                        adjacent_single_box(p, q)
+                else:
+                    move = adjacent_single_box(p, q)
+                    assert normalize(up(p, move)) == q
