@@ -13,21 +13,22 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def generated_preorder(n, elements_of, lower_rows, targets, start, transpose) -> tuple[int, ...]:
+def generated_preorder(n, elements_of, lower_rows, targets, classes, transpose) -> tuple[int, ...]:
     """Bitset rows of the preorder on elements_of(n) generated by induction steps.
 
-    Row i is the set of j with element i related to element j; start gives
-    the rows to begin with, reflexive at least.  For each rank k < n and
-    l = n - k, targets(nu, l) is the pair (induced, truncated) of rank-n
-    elements reached from nu in elements_of(k).  When nu is related to nu'
-    at rank k (lower_rows(k)), every induced target of nu is related to
-    every truncated target of nu', and their transposes the other way
-    round.  One Warshall pass then closes the rows under transitivity.
+    Row i is the set of j with element i related to element j.  classes
+    splits elements_of(n) into tuples of mutually related elements (the
+    families, or singletons), and each row starts as its element's class.
+    For each rank k < n and l = n - k, targets(nu, l) is the pair
+    (induced, truncated) of rank-n elements reached from nu in
+    elements_of(k).  When nu is related to nu' at rank k (lower_rows(k)),
+    every induced target of nu is related to every truncated target of
+    nu', and their transposes the other way round.  One Warshall pass
+    then closes the rows under transitivity.
     """
     elements = elements_of(n)
     index = {x: i for i, x in enumerate(elements)}
     tr = [index[transpose(x)] for x in elements]
-    rows = list(start)
 
     def bits(indices) -> int:
         out = 0
@@ -35,6 +36,11 @@ def generated_preorder(n, elements_of, lower_rows, targets, start, transpose) ->
             out |= 1 << i
         return out
 
+    rows = [0] * len(elements)
+    for cls in classes:
+        mask = bits(index[x] for x in cls)
+        for x in cls:
+            rows[index[x]] = mask
     for k in range(n):
         l = n - k
         pairs = [targets(nu, l) for nu in elements_of(k)]

@@ -59,8 +59,8 @@ def frame(k: Kappa, k2: Kappa) -> AdjacencyFrame:
 
 
 class Poset(NamedTuple):
-    entries: tuple[Parts, ...]  # decreasing kappa, the family table's order
-    index: dict[Parts, int]
+    """Nodes are the positions of the families in family_table(n, b)."""
+
     above: tuple[int, ...]  # bitmask of the nodes strictly dominating node i
     cover_up: tuple[tuple[int, ...], ...]  # covers of node i, increasing kappa
 
@@ -95,16 +95,15 @@ def _poset(n: int, b: int) -> Poset:
             ups.append(j)
             rest &= ~(above[j] | 1 << j)
         cover_up.append(tuple(ups))
-    index = {e: i for i, e in enumerate(entries)}
-    return Poset(entries, index, tuple(above), tuple(cover_up))
+    return Poset(tuple(above), tuple(cover_up))
 
 
 def _located(a: Bipartition, c: Bipartition, b: int):
     n = a.rank
     if c.rank != n:
         raise RankMismatch(f"ranks differ: {a.text()} has {n}, {c.text()} has {c.rank}")
-    poset = _poset(n, b)
-    return poset, poset.index[kappa(a, b, n).entries], poset.index[kappa(c, b, n).entries]
+    index = family_table(n, b).index
+    return _poset(n, b), index[kappa(a, b, n).entries], index[kappa(c, b, n).entries]
 
 
 def is_adjacent(a: Bipartition, c: Bipartition, b: int) -> bool:

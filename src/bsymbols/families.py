@@ -2,13 +2,15 @@
 
 Two bipartitions of n lie in the same family exactly when their kappa
 vectors agree; the table below groups the whole of the rank-n set at the
-common admissible size N = n, attaches a-values, and exposes the Hasse
-diagram of the dominance order on the distinct kappa values.
+common admissible size N = n, attaches a-values, and indexes the families
+by kappa, so every module locates a kappa of rank n through it.  It also
+exposes the Hasse diagram of the dominance order on the distinct kappa
+values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -42,10 +44,7 @@ class FamilyTable:
     b: int
     N: int
     families: tuple[Family, ...]  # sorted by decreasing kappa
-
-    @property
-    def a_values(self) -> dict[Kappa, int]:
-        return {f.kappa: f.a for f in self.families}
+    index: dict[Parts, int] = field(compare=False, repr=False)  # kappa entries -> position
 
 
 @lru_cache(maxsize=None)
@@ -58,11 +57,12 @@ def family_table(n: int, b: int) -> FamilyTable:
     for bp in enumerate_bipartitions(n):
         groups.setdefault(kappa(bp, b, N).entries, []).append(bp)
     base = n_stat(kappa(EMPTY, b, N))
+    ordered = sorted(groups.items(), reverse=True)
     families = tuple(
         Family(Kappa(entries, b, N), tuple(members), n_stat(entries) - base)
-        for entries, members in sorted(groups.items(), reverse=True)
+        for entries, members in ordered
     )
-    return FamilyTable(n, b, N, families)
+    return FamilyTable(n, b, N, families, {e: i for i, (e, _) in enumerate(ordered)})
 
 
 class HasseDiagram(NamedTuple):

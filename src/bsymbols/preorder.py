@@ -10,8 +10,11 @@ through transposition.  Members of one family are mutually related.
 preceq decides the relation through dominance of kappa vectors, which is
 what the order amounts to; preceq_oracle builds the relation from the
 elementary steps alone, bottom-up in rank, so the two can be compared on
-every pair as an end-to-end check.  witness_step turns one adjacent
-dominance step into the elementary step certifying it.
+every pair as an end-to-end check.  Both kinds of target are read from
+the rank's family table: induction_targets tests each family's kappa, and
+truncated_targets looks its one vector up in the table's index.
+witness_step turns one adjacent dominance step into the elementary step
+certifying it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple, Set
 from ._util import GeneratedPreorder, generated_preorder
 from .adjacency import _single_move, adjacency_move
 from .errors import NotAPartition, NotSympartition, RankMismatch, WitnessInvalid
-from .families import enumerate_bipartitions
+from .families import enumerate_bipartitions, family_table
 from .partitions import Parts, dominance_leq
 from .symbols import Bipartition, from_sympartition, is_sympartition, kappa
 
@@ -31,12 +34,6 @@ class InductionWitness(NamedTuple):
     nu: Bipartition
     l: int
     transposed: bool  # certificate goes through the transposed bipartitions
-
-
-@lru_cache(maxsize=None)
-def _kappas_at(n: int, b: int) -> tuple[Parts, ...]:
-    """kappa entries of every bipartition of n at N = n, in canonical order."""
-    return tuple(kappa(bp, b, n).entries for bp in enumerate_bipartitions(n))
 
 
 def _is_increment(base: Parts, target: Parts, l: int) -> bool:
@@ -63,9 +60,12 @@ def induction_targets(nu: Bipartition, l: int, b: int) -> Set[Bipartition]:
         raise ValueError("weight b must be >= 0")
     n = nu.rank + l
     base = kappa(nu, b, n).entries
-    bips = enumerate_bipartitions(n)
-    kaps = _kappas_at(n, b)
-    return {bp for bp, e in zip(bips, kaps) if _is_increment(base, e, l)}
+    return {
+        bp
+        for fam in family_table(n, b).families
+        if _is_increment(base, fam.kappa.entries, l)
+        for bp in fam.members
+    }
 
 
 def truncated_targets(nu: Bipartition, l: int, b: int) -> Set[Bipartition]:
@@ -75,10 +75,9 @@ def truncated_targets(nu: Bipartition, l: int, b: int) -> Set[Bipartition]:
     if b < 0:
         raise ValueError("weight b must be >= 0")
     n = nu.rank + l
-    target = _truncated(kappa(nu, b, n).entries, l)
-    bips = enumerate_bipartitions(n)
-    kaps = _kappas_at(n, b)
-    return {bp for bp, e in zip(bips, kaps) if e == target}
+    table = family_table(n, b)
+    i = table.index.get(_truncated(kappa(nu, b, n).entries, l))
+    return set() if i is None else set(table.families[i].members)
 
 
 def witness_is_valid(w: InductionWitness, a: Bipartition, c: Bipartition, b: int) -> bool:
@@ -104,18 +103,15 @@ def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:
     move = adjacency_move(a, c, b)
     n = a.rank
     lo = kappa(a, b, n).entries
-    hi = kappa(c, b, n).entries
+    if lo[move.k2 - 2] != lo[move.k2 - 1]:
+        hi, l, transposed = kappa(c, b, n).entries, move.k2 - 1, False
+    else:
+        hi = kappa(a.transpose(), b, n).entries
+        l = _single_move(kappa(c.transpose(), b, n).entries, hi).k1
+        transposed = True
+    core = tuple(v - 1 if t < l else v for t, v in enumerate(hi))
     try:
-        if lo[move.k2 - 2] != lo[move.k2 - 1]:
-            l = move.k2 - 1
-            core = tuple(v - 1 if t < l else v for t, v in enumerate(hi))
-            w = InductionWitness(from_sympartition(core, b, n, n - l), l, False)
-        else:
-            t_lo = kappa(c.transpose(), b, n).entries
-            t_hi = kappa(a.transpose(), b, n).entries
-            l = _single_move(t_lo, t_hi).k1
-            core = tuple(v - 1 if t < l else v for t, v in enumerate(t_hi))
-            w = InductionWitness(from_sympartition(core, b, n, n - l), l, True)
+        w = InductionWitness(from_sympartition(core, b, n, n - l), l, transposed)
     except (NotAPartition, NotSympartition, ValueError) as exc:
         raise WitnessInvalid(f"no witness for {a.text()} -> {c.text()}: {exc}") from exc
     if not witness_is_valid(w, a, c, b):
@@ -143,16 +139,12 @@ class PreceqOracle(GeneratedPreorder):
 
 @lru_cache(maxsize=None)
 def _oracle_rows(n: int, b: int) -> tuple[int, ...]:
-    kaps = _kappas_at(n, b)
-    groups: dict[Parts, int] = {}
-    for i, e in enumerate(kaps):
-        groups[e] = groups.get(e, 0) | 1 << i
     return generated_preorder(
         n,
         enumerate_bipartitions,
         lambda k: _oracle_rows(k, b),
         lambda nu, l: (induction_targets(nu, l, b), truncated_targets(nu, l, b)),
-        [groups[e] for e in kaps],  # reflexivity and family equivalence to start with
+        [f.members for f in family_table(n, b).families],
         Bipartition.transpose,
     )
 

@@ -83,7 +83,7 @@ def _typea_rows(n: int) -> tuple[int, ...]:
         partitions_of,
         _typea_rows,
         lambda p, l: (pieri_targets(p, l), truncated_pieri_targets(p, l)),
-        [1 << i for i in range(len(partitions_of(n)))],
+        [(p,) for p in partitions_of(n)],
         transpose,
     )
 

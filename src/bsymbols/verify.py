@@ -420,16 +420,14 @@ def suite_a_monotone(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
     checked = 0
     for n in range(max_n + 1):
         for b in b_list:
-            table = family_table(n, b)
-            poset = _poset(n, b)
-            a_of = [fam.a for fam in table.families]
-            for i, above in enumerate(poset.above):
+            fams = family_table(n, b).families
+            for i, above in enumerate(_poset(n, b).above):
                 for j in iter_bits(above):
                     checked += 1
-                    if a_of[i] < a_of[j]:
+                    if fams[i].a < fams[j].a:
                         return False, (
-                            f"a increases along dominance: {poset.entries[i]} -> "
-                            f"{poset.entries[j]} (n={n}, b={b})"
+                            f"a increases along dominance: {fams[i].kappa.entries} -> "
+                            f"{fams[j].kappa.entries} (n={n}, b={b})"
                         )
     return True, f"{checked} comparable pairs checked"
 

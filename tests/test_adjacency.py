@@ -65,7 +65,7 @@ def test_poset_kernel_matches_pairwise_reference(n):
         entries = [f.kappa.entries for f in table.families]
         above, cover_up = reference_poset(entries)
         poset = _poset(n, b)
-        assert list(poset.entries) == entries
+        assert table.index == {e: i for i, e in enumerate(entries)}
         assert list(poset.above) == [sum(1 << j for j in s) for s in above]
         assert list(poset.cover_up) == cover_up
         edges = sorted((i, j) for i, ups in enumerate(cover_up) for j in ups)

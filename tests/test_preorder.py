@@ -53,6 +53,33 @@ def test_induction_targets_are_increments():
                         assert sum(diffs) == l
 
 
+def rank_scan_targets(nu, l, b):
+    """Both target sets by scanning every bipartition of rank(nu) + l."""
+    n = nu.rank + l
+    base = kappa(nu, b, n).entries
+    top = tuple(v + 1 if t < l else v for t, v in enumerate(base))
+    induced, truncated = set(), set()
+    for bp in enumerate_bipartitions(n):
+        e = kappa(bp, b, n).entries
+        diffs = [y - x for x, y in zip(base, e)]
+        if all(d in (0, 1) for d in diffs) and sum(diffs) == l:
+            induced.add(bp)
+        if e == top:
+            truncated.add(bp)
+    return induced, truncated
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_targets_match_rank_scan(n):
+    # every k + l = n; b = n and b = n + 1 make every family a singleton
+    for b in range(n + 2):
+        for l in range(1, n + 1):
+            for nu in enumerate_bipartitions(n - l):
+                induced, truncated = rank_scan_targets(nu, l, b)
+                assert induction_targets(nu, l, b) == induced
+                assert truncated_targets(nu, l, b) == truncated
+
+
 def test_truncated_targets_examples():
     nu = bipartition((2,), ())
     targets = truncated_targets(nu, 1, 1)
