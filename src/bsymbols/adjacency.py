@@ -17,17 +17,15 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
-    NoSingleMove,
     NotAdjacent,
     NotComparable,
     NotStrictlyDominated,
     PreconditionViolated,
-    RankMismatch,
     SizeMismatch,
 )
 from .families import family_table
-from .partitions import BoxMove, Parts, break_points, dominance_leq, gap, part, size
-from .symbols import Bipartition, Kappa, kappa
+from .partitions import BoxMove, _single_move, break_points, dominance_leq, gap, part, size
+from .symbols import Bipartition, Kappa, _rank_kappas
 
 
 class AdjacencyFrame(NamedTuple):
@@ -99,11 +97,14 @@ def _poset(n: int, b: int) -> Poset:
 
 
 def _located(a: Bipartition, c: Bipartition, b: int):
+    """The rank's poset and the nodes of a and c, with kappa(a) at most kappa(c)."""
+    ka, kc = _rank_kappas(a, c, b)
     n = a.rank
-    if c.rank != n:
-        raise RankMismatch(f"ranks differ: {a.text()} has {n}, {c.text()} has {c.rank}")
-    index = family_table(n, b).index
-    return _poset(n, b), index[kappa(a, b, n).entries], index[kappa(c, b, n).entries]
+    poset, index = _poset(n, b), family_table(n, b).index
+    ia, ic = index[ka], index[kc]
+    if ia != ic and not poset.above[ia] >> ic & 1:
+        raise NotComparable(f"kappa of {a.text()} is not below that of {c.text()}")
+    return poset, ia, ic
 
 
 def is_adjacent(a: Bipartition, c: Bipartition, b: int) -> bool:
@@ -111,27 +112,14 @@ def is_adjacent(a: Bipartition, c: Bipartition, b: int) -> bool:
     poset, ia, ic = _located(a, c, b)
     if ia == ic:
         raise NotComparable(f"{a.text()} and {c.text()} have equal kappa")
-    if not poset.above[ia] >> ic & 1:
-        raise NotComparable(f"kappa of {a.text()} is not strictly below that of {c.text()}")
     return ic in poset.cover_up[ia]
-
-
-def _single_move(lo: Parts, hi: Parts) -> BoxMove:
-    """The unique box move with hi = up(lo), or a NoSingleMove tripwire."""
-    plus = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if y == x + 1]
-    minus = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if y == x - 1]
-    stray = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if abs(y - x) > 1]
-    if stray or len(plus) != 1 or len(minus) != 1 or plus[0] >= minus[0]:
-        raise NoSingleMove(f"{hi} is not a single raised box away from {lo}")
-    return BoxMove(plus[0], minus[0])
 
 
 def adjacency_move(a: Bipartition, c: Bipartition, b: int) -> BoxMove:
     """The single box move turning kappa(a) into kappa(c)."""
     if not is_adjacent(a, c, b):
         raise NotAdjacent(f"{a.text()} and {c.text()} are not adjacent at b={b}")
-    n = a.rank
-    return _single_move(kappa(a, b, n).entries, kappa(c, b, n).entries)
+    return _single_move(*_rank_kappas(a, c, b))
 
 
 def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]:
@@ -145,8 +133,6 @@ def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]
     above = poset.above
     if ia == ic:
         return [a] if a == c else [a, c]
-    if not above[ia] >> ic & 1:
-        raise NotComparable(f"kappa of {a.text()} is not below that of {c.text()}")
     path = [ia]
     while path[-1] != ic:
         path.append(

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .adjacency import adjacency_move, saturated_chain
+from .adjacency import saturated_chain
 from .errors import (
     BSymbolsError,
     NotAdmissible,
@@ -22,9 +22,9 @@ from .errors import (
     RankMismatch,
 )
 from .families import family_hasse, family_table
-from .partitions import dominance_leq, format_partition
+from .partitions import _single_move, dominance_leq, format_partition
 from .preorder import witness_step
-from .symbols import Bipartition, Kappa, Symbol, a_value, kappa, symbol
+from .symbols import Bipartition, Kappa, Symbol, _rank_kappas, a_value, kappa, symbol
 from .verify import run_suites
 
 
@@ -113,11 +113,7 @@ def cmd_avalues(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     a = Bipartition.parse(args.bipartition)
     c = Bipartition.parse(args.bipartition2)
-    n = a.rank
-    if c.rank != n:
-        raise RankMismatch(f"ranks differ: {n} vs {c.rank}")
-    ka = kappa(a, args.b, n).entries
-    kc = kappa(c, args.b, n).entries
+    ka, kc = _rank_kappas(a, c, args.b)
     if ka == kc:
         status = "EQ"
     elif dominance_leq(ka, kc):
@@ -136,16 +132,12 @@ def cmd_chain(args: argparse.Namespace) -> int:
     a = Bipartition.parse(args.bipartition)
     c = Bipartition.parse(args.bipartition2)
     chain = saturated_chain(a, c, args.b)
-    n = a.rank
-    steps = []
-    for t in range(len(chain) - 1):
-        x, y = chain[t], chain[t + 1]
-        kx = kappa(x, args.b, n).entries
-        ky = kappa(y, args.b, n).entries
-        if kx == ky:
-            steps.append((x, kx, None, None))
-        else:
-            steps.append((x, kx, adjacency_move(x, y, args.b), witness_step(x, y, args.b)))
+    kappas = [kappa(x, args.b, a.rank).entries for x in chain]
+    # witness_step proves each step adjacent, so the move is read off directly
+    steps = [
+        (None, None) if kx == ky else (witness_step(x, y, args.b), _single_move(kx, ky))
+        for x, y, kx, ky in zip(chain, chain[1:], kappas, kappas[1:])
+    ]
     if args.format == "json":
         doc = {
             "b": args.b,
@@ -155,19 +147,19 @@ def cmd_chain(args: argparse.Namespace) -> int:
                     "step": t,
                     "from": chain[t].text(),
                     "to": chain[t + 1].text(),
-                    "kappa_before": list(kx),
-                    "kappa_after": list(kappa(chain[t + 1], args.b, n).entries),
+                    "kappa_before": list(kappas[t]),
+                    "kappa_after": list(kappas[t + 1]),
                     "move": None if move is None else [move.k1, move.k2],
                     "nu": None if w is None else w.nu.text(),
                     "l": None if w is None else w.l,
                     "transposed": None if w is None else w.transposed,
                 }
-                for t, (x, kx, move, w) in enumerate(steps)
+                for t, (w, move) in enumerate(steps)
             ],
         }
         print(json.dumps(doc, indent=2))
     else:
-        for t, (x, kx, move, w) in enumerate(steps):
+        for x, kx, (w, move) in zip(chain, kappas, steps):
             if move is None:
                 print(f"{x.text()}\tkappa={format_partition(kx)}\tmove=-\twitness=family")
             else:
@@ -176,8 +168,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
                     f"{x.text()}\tkappa={format_partition(kx)}\tmove={move}"
                     f"\tnu={w.nu.text()}\tl={w.l}\ttransposed={flag}"
                 )
-        last = chain[-1]
-        print(f"{last.text()}\tkappa={format_partition(kappa(last, args.b, n).entries)}")
+        print(f"{chain[-1].text()}\tkappa={format_partition(kappas[-1])}")
     return 0
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Iterator, Sequence
 
-from .errors import NotAPartition, SizeMismatch
+from .errors import NoSingleMove, NotAPartition, SizeMismatch
 
 Parts = tuple[int, ...]
 
@@ -133,6 +133,16 @@ def down(p: Sequence[int], move: BoxMove) -> Parts:
     q[move.k1 - 1] -= 1
     q[move.k2 - 1] += 1
     return as_partition(q)
+
+
+def _single_move(lo: Parts, hi: Parts) -> BoxMove:
+    """The unique box move with hi = up(lo), or a NoSingleMove tripwire."""
+    plus = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if y == x + 1]
+    minus = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if y == x - 1]
+    stray = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if abs(y - x) > 1]
+    if stray or len(plus) != 1 or len(minus) != 1 or plus[0] >= minus[0]:
+        raise NoSingleMove(f"{hi} is not a single raised box away from {lo}")
+    return BoxMove(plus[0], minus[0])
 
 
 def gap(p: Sequence[int], k: int) -> int | float:

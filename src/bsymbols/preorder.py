@@ -23,11 +23,11 @@ from functools import lru_cache
 from typing import NamedTuple, Set
 
 from ._util import GeneratedPreorder, generated_preorder
-from .adjacency import _single_move, adjacency_move
-from .errors import NotAPartition, NotSympartition, RankMismatch, WitnessInvalid
+from .adjacency import adjacency_move
+from .errors import NotAPartition, NotSympartition, WitnessInvalid
 from .families import enumerate_bipartitions, family_table
-from .partitions import Parts, dominance_leq
-from .symbols import Bipartition, from_sympartition, is_sympartition, kappa
+from .partitions import Parts, _single_move, dominance_leq
+from .symbols import Bipartition, _rank_kappas, from_sympartition, kappa
 
 
 class InductionWitness(NamedTuple):
@@ -101,15 +101,14 @@ def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:
     transposed pair, removing a box from each entry above the raised one.
     """
     move = adjacency_move(a, c, b)
-    n = a.rank
-    lo = kappa(a, b, n).entries
+    lo, hi = _rank_kappas(a, c, b)
     if lo[move.k2 - 2] != lo[move.k2 - 1]:
-        hi, l, transposed = kappa(c, b, n).entries, move.k2 - 1, False
+        l, transposed = move.k2 - 1, False
     else:
-        hi = kappa(a.transpose(), b, n).entries
-        l = _single_move(kappa(c.transpose(), b, n).entries, hi).k1
-        transposed = True
+        lo, hi = _rank_kappas(c.transpose(), a.transpose(), b)
+        l, transposed = _single_move(lo, hi).k1, True
     core = tuple(v - 1 if t < l else v for t, v in enumerate(hi))
+    n = a.rank
     try:
         w = InductionWitness(from_sympartition(core, b, n, n - l), l, transposed)
     except (NotAPartition, NotSympartition, ValueError) as exc:
@@ -121,10 +120,7 @@ def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:
 
 def preceq(a: Bipartition, c: Bipartition, b: int) -> bool:
     """Decide the preorder through dominance of the kappa vectors."""
-    n = a.rank
-    if c.rank != n:
-        raise RankMismatch(f"ranks differ: {a.text()} has {n}, {c.text()} has {c.rank}")
-    return dominance_leq(kappa(a, b, n).entries, kappa(c, b, n).entries)
+    return dominance_leq(*_rank_kappas(a, c, b))
 
 
 class PreceqOracle(GeneratedPreorder):

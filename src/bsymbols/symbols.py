@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence, Set
 
 from . import partitions as pt
-from .errors import NotAdmissible, NotSympartition
+from .errors import NotAdmissible, NotSympartition, RankMismatch
 from .partitions import Parts, format_partition, normalize, parse_partition
 
 class Bipartition(NamedTuple):
@@ -94,6 +94,18 @@ def kappa(bp: Bipartition, b: int, N: int | None = None) -> Kappa:
     return Kappa(tuple(sorted(s.row1 + s.row2, reverse=True)), s.b, s.N)
 
 
+def _rank_kappas(a: Bipartition, c: Bipartition, b: int) -> tuple[Parts, Parts]:
+    """The kappa entries of a and c at the common size N = n of their rank n.
+
+    Every per-pair answer of the package reads the pair through here, so
+    this is the one place that rejects a pair of different ranks.
+    """
+    n = a.rank
+    if c.rank != n:
+        raise RankMismatch(f"ranks differ: {a.text()} has {n}, {c.text()} has {c.rank}")
+    return kappa(a, b, n).entries, kappa(c, b, n).entries
+
+
 def f_stat(b: int, N: int, n: int) -> int:
     """Total size of any kappa vector at (b, N) for rank n."""
     return n + N * (N - 1) // 2 + (N + b) * (N + b - 1) // 2
@@ -115,6 +127,23 @@ def a_value(bp: Bipartition, b: int) -> int:
     return n_stat(kappa(bp, b, N)) - n_stat(kappa(EMPTY, b, N))
 
 
+def _profile(p: Sequence[int], b: int, N: int, n: int) -> dict[int, int] | None:
+    """Value counts of p padded to 2N+b entries, or None if p is no sympartition."""
+    if b < 0 or N < 0 or n < 0:
+        raise ValueError("b, N, n must all be >= 0")
+    parts = pt.as_partition(p)
+    length = 2 * N + b
+    if len(parts) > length or pt.size(parts) != f_stat(b, N, n):
+        return None
+    counts: dict[int, int] = {}
+    for v in pt.padded(parts, length):
+        counts[v] = counts.get(v, 0) + 1
+    # with no value thrice, length - len(counts) is the number of doubles
+    if max(counts.values(), default=0) > 2 or length - len(counts) > N:
+        return None
+    return counts if all(map(counts.__contains__, range(b))) else None
+
+
 def is_sympartition(p: Sequence[int], b: int, N: int, n: int) -> bool:
     """True when p is the kappa vector of some bipartition of n at (b, N).
 
@@ -124,28 +153,7 @@ def is_sympartition(p: Sequence[int], b: int, N: int, n: int) -> bool:
     kappa images because the bottom of the long row of any symbol with N
     admissible is the staircase b-1, ..., 1, 0.
     """
-    if b < 0 or N < 0 or n < 0:
-        raise ValueError("b, N, n must all be >= 0")
-    parts = pt.as_partition(p)
-    if len(parts) > 2 * N + b:
-        return False
-    if pt.size(parts) != f_stat(b, N, n):
-        return False
-    full = pt.padded(parts, 2 * N + b)
-    doubles = 0
-    run = 1
-    for prev, cur in zip(full, full[1:] + (-1,)):
-        if cur == prev:
-            run += 1
-            continue
-        if run > 2:
-            return False
-        doubles += run == 2
-        run = 1
-    if doubles > N:
-        return False
-    values = set(full)
-    return all(v in values for v in range(b))
+    return _profile(p, b, N, n) is not None
 
 
 def _row_splits(p: Sequence[int], b: int, N: int, n: int) -> Iterator[tuple[Parts, Parts]]:
@@ -156,12 +164,9 @@ def _row_splits(p: Sequence[int], b: int, N: int, n: int) -> Iterator[tuple[Part
     value >= b are split between the top of row1 and row2, which is the
     only freedom.  Yields (row1, row2) with both rows strictly decreasing.
     """
-    if not is_sympartition(p, b, N, n):
+    counts = _profile(p, b, N, n)
+    if counts is None:
         raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
-    full = pt.padded(pt.as_partition(p), 2 * N + b)
-    counts: dict[int, int] = {}
-    for v in full:
-        counts[v] = counts.get(v, 0) + 1
     doubles = sorted((v for v, c in counts.items() if c == 2), reverse=True)
     singles = sorted((v for v, c in counts.items() if c == 1), reverse=True)
     low_singles = [v for v in singles if v < b]

@@ -15,11 +15,11 @@ from itertools import combinations
 from typing import Set
 
 from ._util import GeneratedPreorder, generated_preorder
-from .adjacency import _single_move
 from .errors import NoSingleMove, NotAdjacent, SizeMismatch
 from .partitions import (
     BoxMove,
     Parts,
+    _single_move,
     as_partition,
     dominance_leq,
     format_partition,

@@ -83,6 +83,40 @@ def test_symbol_not_admissible(capsys):
     assert "admissibility" in err
 
 
+KAPPA_JSON_GOLDEN = """\
+{
+  "b": 1,
+  "N": 3,
+  "row1": [
+    0,
+    1,
+    2,
+    4
+  ],
+  "row2": [
+    0,
+    1,
+    4
+  ],
+  "kappa": [
+    4,
+    4,
+    2,
+    1,
+    1,
+    0,
+    0
+  ]
+}
+"""
+
+
+def test_kappa_json_golden(capsys):
+    code, out, _ = run(capsys, "kappa", "1|2", "--b", "1", "--N", "3", "--format", "json")
+    assert code == 0
+    assert out == KAPPA_JSON_GOLDEN
+
+
 def test_kappa_command(capsys):
     code, out, _ = run(capsys, "kappa", "1|2", "--b", "1", "--N", "3")
     assert code == 0
@@ -305,6 +339,7 @@ def test_commands_byte_identical_across_runs(capsys):
         (["kappa", "1|2", "--b", "1", "--N", "0"], 3),
         (["chain", "-|3,1", "1,1|2", "--b", "1"], 4),
         (["chain", "1|1", "1|2", "--b", "1"], 4),
+        (["compare", "1|-", "1,1|-", "--b", "0"], 4),
     ],
 )
 def test_exit_code_contract(capsys, argv, code):

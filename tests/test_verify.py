@@ -1,5 +1,10 @@
-from bsymbols.partitions import padded, partitions_of
+import pytest
+
+from bsymbols import verify
+from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of
+from bsymbols.preorder import preceq, witness_step
 from bsymbols.symbols import f_stat, is_sympartition
+from bsymbols.typea import a_value_typeA
 from bsymbols.verify import run_suites, sympartitions_by_definition
 
 
@@ -36,3 +41,85 @@ def test_run_suites_all_pass_small():
     names = [r.name for r in results]
     assert names == sorted(names, key=names.index)  # stable, deterministic order
     assert names[-1] == "preceq-matches-oracle"
+
+
+# subtly wrong versions of the suites' dependencies; each suite must fail
+# on them with its first counterexample
+
+
+def preceq_flipped_once(a, c, b):
+    return preceq(a, c, b) != ((a.text(), c.text()) == ("1,1|-", "2|-"))
+
+
+def witness_l_off_by_one(a, c, b):
+    w = witness_step(a, c, b)
+    return w._replace(l=w.l + 1)
+
+
+def a_value_typea_wrong_once(p):
+    return a_value_typeA(p) + (p == (2, 1))
+
+
+def move_k2_off_by_one(lo, hi):
+    move = _single_move(lo, hi)
+    return BoxMove(move.k1, move.k2 + 1)
+
+
+def move_k1_off_by_one(lo, hi):
+    move = _single_move(lo, hi)
+    return BoxMove(move.k1 + 1, move.k2) if move.k1 + 1 < move.k2 else move
+
+
+@pytest.mark.parametrize(
+    "name, wrong, suite, max_n, b_list, detail",
+    [
+        (
+            "preceq",
+            preceq_flipped_once,
+            verify.suite_oracle_equivalence,
+            2,
+            (0,),
+            "oracle and dominance disagree at 1,1|- vs 2|- (n=2, b=0)",
+        ),
+        (
+            "witness_step",
+            witness_l_off_by_one,
+            verify.suite_witness,
+            2,
+            (1,),
+            "invalid witness for -|1 -> 1|-",
+        ),
+        (
+            "_single_move",
+            move_k2_off_by_one,
+            verify.suite_single_move,
+            2,
+            (1,),
+            "move Up(1,3) outside frame [1,2] for (1, 1, 0) -> (2, 0, 0)",
+        ),
+        # an illegal move inside the frame is a counterexample, not an exception
+        (
+            "_single_move",
+            move_k1_off_by_one,
+            verify.suite_single_move,
+            2,
+            (1,),
+            "move does not reproduce (3, 2, 1, 0, 0)",
+        ),
+        (
+            "a_value_typeA",
+            a_value_typea_wrong_once,
+            verify.suite_typea,
+            0,
+            (),
+            "type A a-value wrong at (2, 1)",
+        ),
+    ],
+    ids=["preceq", "witness_step", "single_move-k2", "single_move-k1", "a_value_typeA"],
+)
+def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n, b_list, detail):
+    assert suite(max_n, b_list)[0] is True
+    monkeypatch.setattr(verify, name, wrong)
+    ok, got = suite(max_n, b_list)
+    assert ok is False
+    assert got == detail
