@@ -65,20 +65,20 @@ def generated_preorder(n, elements_of, lower_rows, targets, classes, transpose) 
 
 
 class GeneratedPreorder:
-    """A preorder on a tuple of elements, one bitset row per element."""
+    """A preorder on a tuple of elements: bit j of rows[i] relates element i to element j."""
 
     def __init__(self, elements: tuple, rows: tuple[int, ...], label: Callable[..., str]):
         self.elements = elements
         self._index = {x: i for i, x in enumerate(elements)}
-        self._rows = rows
+        self.rows = rows
         self._label = label
 
     def holds(self, x, y) -> bool:
-        return bool(self._rows[self._index[x]] >> self._index[y] & 1)
+        return bool(self.rows[self._index[x]] >> self._index[y] & 1)
 
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         m = len(self.elements)
-        return tuple(tuple(row >> j & 1 for j in range(m)) for row in self._rows)
+        return tuple(tuple(row >> j & 1 for j in range(m)) for row in self.rows)
 
     def render(self) -> str:
         """Square 0/1 matrix with a header row of element labels."""

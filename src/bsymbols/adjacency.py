@@ -4,17 +4,18 @@ Two bipartitions of n with distinct kappa values are adjacent when no
 bipartition of n has a kappa strictly between them.  Adjacent pairs differ
 by a single box move on their kappa vectors.  Every adjacency, chain and
 Hasse query of rank n reads one cached dominance poset of all the rank's
-kappa values, built by a bit-parallel kernel over their prefix sums.  This
-module also extracts the move, refines arbitrary comparisons into
-saturated chains, and checks the structural facts about adjacency frames
-used elsewhere.
+kappa values.  It is built on dominance_rows, a bit-parallel kernel over
+the prefix sums of any tuple of vectors, which the verify suites also use
+to compare whole ranks at once.  This module also extracts the move,
+refines arbitrary comparisons into saturated chains, and checks the
+structural facts about adjacency frames used elsewhere.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     NotAdjacent,
@@ -24,7 +25,7 @@ from .errors import (
     SizeMismatch,
 )
 from .families import family_table
-from .partitions import BoxMove, _single_move, break_points, dominance_leq, gap, part, size
+from .partitions import BoxMove, Parts, _single_move, break_points, dominance_leq, gap, part, size
 from .symbols import Bipartition, Kappa, _rank_kappas
 
 
@@ -63,28 +64,38 @@ class Poset(NamedTuple):
     cover_up: tuple[tuple[int, ...], ...]  # covers of node i, increasing kappa
 
 
-@lru_cache(maxsize=None)
-def _poset(n: int, b: int) -> Poset:
-    """Dominance poset of the distinct kappa vectors of rank n at N = n.
+def dominance_rows(vectors: Sequence[Parts]) -> tuple[int, ...]:
+    """Row i is the bitmask of the j whose vector dominates vectors[i].
 
-    A pass over the positions keeps the m prefix sums and narrows each
-    node's bitmask to the nodes whose sum is at least its own; the vectors
-    are distinct, so what is left is strict dominance.  Covers are taken
-    smallest kappa first: that one is a cover, and all above it is dropped.
+    The vectors have one length and one total; i itself and every vector
+    equal to vectors[i] are in row i.  A pass over the positions keeps the
+    prefix sums and narrows each row, which starts full, to the j whose
+    sum is at least its own.
     """
-    entries = tuple(f.kappa.entries for f in family_table(n, b).families)
-    m = len(entries)
-    full = (1 << m) - 1
-    above = [full ^ 1 << i for i in range(m)]
+    m = len(vectors)
+    rows = [(1 << m) - 1] * m
     sums = [0] * m
-    for column in zip(*entries):
+    for column in zip(*vectors):
         sums = [s + x for s, x in zip(sums, column)]
         at_least: dict[int, int] = {}
         mask = 0
         for i in sorted(range(m), key=sums.__getitem__, reverse=True):
             mask |= 1 << i
             at_least[sums[i]] = mask
-        above = [a & at_least[s] for a, s in zip(above, sums)]
+        rows = [r & at_least[s] for r, s in zip(rows, sums)]
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _poset(n: int, b: int) -> Poset:
+    """Dominance poset of the distinct kappa vectors of rank n at N = n.
+
+    The families' kappas are distinct, so a node's dominance row without
+    the node itself is strict dominance.  Covers are taken smallest kappa
+    first: that one is a cover, and all above it is dropped.
+    """
+    rows = dominance_rows([f.kappa.entries for f in family_table(n, b).families])
+    above = [row ^ 1 << i for i, row in enumerate(rows)]
     cover_up = []
     for rest in above:
         ups = []

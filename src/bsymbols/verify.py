@@ -5,18 +5,22 @@ at a scale given by the caller: partition-order axioms, sympartition
 characterization and round trips, N-stability, the single-box adjacency
 theorem with its frame lemmas, witness soundness, a-function monotonicity
 and the equivalence of the dominance description with the induction
-oracle.  Suites return (ok, detail) with a deterministic counterexample
-in detail on failure.
+oracle.  Each suite is a generator of checks under one runner, which
+counts them, stops at the first counterexample and returns (ok, detail):
+"<count> <unit>", or the counterexample's deterministic text.  The three
+rank-wide comparisons (the oracle, N-stability and type A) compare whole
+bitset rows from adjacency.dominance_rows, not pairs.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from functools import wraps
+from itertools import groupby, product
 from math import comb
 from typing import Callable, Iterator, NamedTuple
 
 from ._util import iter_bits
-from .adjacency import _poset, frame, verify_double_break
+from .adjacency import _poset, dominance_rows, frame, verify_double_break
 from .errors import NotAPartition, PreconditionViolated
 from .families import enumerate_bipartitions, family_table
 from .partitions import (
@@ -27,12 +31,14 @@ from .partitions import (
     dominance_lt,
     down,
     overlap_count,
+    padded,
+    part,
     partitions_of,
     size,
     transpose,
     up,
 )
-from .preorder import preceq, preceq_oracle, truncated_targets, witness_is_valid, witness_step
+from .preorder import preceq_oracle, truncated_targets, witness_is_valid, witness_step
 from .symbols import (
     EMPTY,
     Bipartition,
@@ -116,49 +122,79 @@ def sympartitions_by_definition(b: int, N: int, n: int) -> Iterator[Parts]:
             yield vec
 
 
+def _checks(unit: str):
+    """Turn a generator of checks into a suite returning (ok, detail).
+
+    The generator yields the number of checks it has just passed, or the
+    text of a counterexample; the suite stops at the first counterexample
+    and otherwise reports "<count> <unit>".
+    """
+
+    def runner(gen: Callable[[int, tuple[int, ...]], Iterator[int | str]]):
+        @wraps(gen)
+        def suite(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
+            checked = 0
+            for found in gen(max_n, b_list):
+                if isinstance(found, str):
+                    return False, found
+                checked += found
+            return True, f"{checked} {unit}"
+
+        return suite
+
+    return runner
+
+
+def _row_checks(rows: tuple[int, ...], expected: tuple[int, ...], describe):
+    """The m^2 checks of m bitset rows against expected ones.
+
+    A difference is reported as describe(i, j) of the first differing pair
+    in row-major order: row i, lowest differing bit j.
+    """
+    for i, (x, y) in enumerate(zip(rows, expected)):
+        if x != y:
+            yield describe(i, ((x ^ y) & -(x ^ y)).bit_length() - 1)
+    yield len(rows) ** 2
+
+
 # ---------------------------------------------------------------------------
 # partition suites
 
 
-def suite_partition_order(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
+@_checks("triples checked")
+def suite_partition_order(max_n: int, b_list: tuple[int, ...]):
     for s in range(max_n + 1):
         ps = partitions_of(s)
         for p in ps:
             if not dominance_leq(p, p):
-                return False, f"reflexivity fails at {p}"
-        for p in ps:
-            for q in ps:
-                if dominance_leq(p, q) and dominance_leq(q, p) and p != q:
-                    return False, f"antisymmetry fails at {p}, {q}"
-        for p in ps:
-            for q in ps:
-                if not dominance_leq(p, q):
-                    continue
-                for r in ps:
-                    checked += 1
-                    if dominance_leq(q, r) and not dominance_leq(p, r):
-                        return False, f"transitivity fails at {p}, {q}, {r}"
-    return True, f"{checked} triples checked"
+                yield f"reflexivity fails at {p}"
+        for p, q in product(ps, ps):
+            if dominance_leq(p, q) and dominance_leq(q, p) and p != q:
+                yield f"antisymmetry fails at {p}, {q}"
+        for p, q in product(ps, ps):
+            if not dominance_leq(p, q):
+                continue
+            for r in ps:
+                if dominance_leq(q, r) and not dominance_leq(p, r):
+                    yield f"transitivity fails at {p}, {q}, {r}"
+                yield 1
 
 
-def suite_transpose(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
+@_checks("pairs checked")
+def suite_transpose(max_n: int, b_list: tuple[int, ...]):
     for s in range(max_n + 1):
         ps = partitions_of(s)
         for p in ps:
             if transpose(transpose(p)) != p:
-                return False, f"involution fails at {p}"
-        for p in ps:
-            for q in ps:
-                checked += 1
-                if dominance_leq(p, q) != dominance_leq(transpose(q), transpose(p)):
-                    return False, f"anti-isomorphism fails at {p}, {q}"
-    return True, f"{checked} pairs checked"
+                yield f"involution fails at {p}"
+        for p, q in product(ps, ps):
+            if dominance_leq(p, q) != dominance_leq(transpose(q), transpose(p)):
+                yield f"anti-isomorphism fails at {p}, {q}"
+            yield 1
 
 
-def suite_box_moves(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
+@_checks("moves checked")
+def suite_box_moves(max_n: int, b_list: tuple[int, ...]):
     for s in range(max_n + 1):
         for p in partitions_of(s):
             for k1 in range(1, len(p) + 1):
@@ -168,18 +204,17 @@ def suite_box_moves(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
                         q = up(p, move)
                     except NotAPartition:
                         continue
-                    checked += 1
                     if size(q) != size(p):
-                        return False, f"size not preserved: {p} {move}"
+                        yield f"size not preserved: {p} {move}"
                     if not dominance_lt(p, q):
-                        return False, f"up does not raise strictly: {p} {move}"
+                        yield f"up does not raise strictly: {p} {move}"
                     if down(q, move) != p:
-                        return False, f"down(up(p)) != p at {p} {move}"
-    return True, f"{checked} moves checked"
+                        yield f"down(up(p)) != p at {p} {move}"
+                    yield 1
 
 
-def suite_overlaps(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
+@_checks("partitions checked")
+def suite_overlaps(max_n: int, b_list: tuple[int, ...]):
     for s in range(max_n + 1):
         for p in partitions_of(s):
             repeated = sum(
@@ -189,257 +224,216 @@ def suite_overlaps(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
                 l * overlap_count(p, l) for l in range(2, len(p) + 1)
             )
             if weighted != repeated:
-                return False, f"overlap weight mismatch at {p}"
+                yield f"overlap weight mismatch at {p}"
             if p and p[-1] >= 1:
                 longer = p + (p[-1] - 1,)
                 for l in range(2, len(p) + 2):
                     if overlap_count(longer, l) != overlap_count(p, l):
-                        return False, f"overlap instability at {p}, l={l}"
-            checked += 1
-    return True, f"{checked} partitions checked"
+                        yield f"overlap instability at {p}, l={l}"
+            yield 1
 
 
 # ---------------------------------------------------------------------------
 # symbol suites
 
 
-def suite_kappa_sympartition(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
-    for n in range(max_n + 1):
-        for b in b_list:
-            for bp in enumerate_bipartitions(n):
-                least = min_admissible(bp)
-                for N in sorted({least, least + 1, max(n, least + 2)}):
-                    k = kappa(bp, b, N)
-                    checked += 1
-                    if size(k.entries) != f_stat(b, N, n):
-                        return False, f"|kappa| != f at {bp.text()} b={b} N={N}"
-                    if not is_sympartition(k.entries, b, N, n):
-                        return False, f"kappa not a sympartition at {bp.text()} b={b} N={N}"
-    return True, f"{checked} kappas checked"
+@_checks("kappas checked")
+def suite_kappa_sympartition(max_n: int, b_list: tuple[int, ...]):
+    for n, b in product(range(max_n + 1), b_list):
+        for bp in enumerate_bipartitions(n):
+            least = min_admissible(bp)
+            for N in sorted({least, least + 1, max(n, least + 2)}):
+                k = kappa(bp, b, N)
+                if size(k.entries) != f_stat(b, N, n):
+                    yield f"|kappa| != f at {bp.text()} b={b} N={N}"
+                if not is_sympartition(k.entries, b, N, n):
+                    yield f"kappa not a sympartition at {bp.text()} b={b} N={N}"
+                yield 1
 
 
-def suite_a_stability(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
-    for n in range(max_n + 1):
-        for b in b_list:
-            for bp in enumerate_bipartitions(n):
-                least = min_admissible(bp)
-                values = {
-                    n_stat(kappa(bp, b, N)) - n_stat(kappa(EMPTY, b, N))
-                    for N in range(least, least + 4)
-                }
-                checked += 1
-                if len(values) != 1 or values != {a_value(bp, b)}:
-                    return False, f"a-value depends on N at {bp.text()} b={b}"
-    return True, f"{checked} bipartitions checked"
+@_checks("bipartitions checked")
+def suite_a_stability(max_n: int, b_list: tuple[int, ...]):
+    for n, b in product(range(max_n + 1), b_list):
+        for bp in enumerate_bipartitions(n):
+            least = min_admissible(bp)
+            values = {
+                n_stat(kappa(bp, b, N)) - n_stat(kappa(EMPTY, b, N))
+                for N in range(least, least + 4)
+            }
+            if len(values) != 1 or values != {a_value(bp, b)}:
+                yield f"a-value depends on N at {bp.text()} b={b}"
+            yield 1
 
 
-def suite_roundtrip(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
+@_checks("sympartitions round-tripped")
+def suite_roundtrip(max_n: int, b_list: tuple[int, ...]):
     """Round trip over every sympartition of total at most 30."""
-    checked = 0
-    for N in range(0, 7):
-        for b in range(0, 9):
-            base = f_stat(b, N, 0)
-            if base > 30:
-                continue
-            for n in range(0, 31 - base):
-                for p in sympartitions_by_definition(b, N, n):
-                    checked += 1
-                    if not is_sympartition(p, b, N, n):
-                        return False, f"generator/predicate disagree at {p} ({b},{N},{n})"
-                    bp = from_sympartition(p, b, N, n)
-                    if bp.rank != n or min_admissible(bp) > N:
-                        return False, f"bad preimage {bp.text()} for {p} ({b},{N},{n})"
-                    if kappa(bp, b, N).entries != p:
-                        return False, f"round trip fails at {p} ({b},{N},{n})"
-    return True, f"{checked} sympartitions round-tripped"
+    for N, b in product(range(7), range(9)):
+        base = f_stat(b, N, 0)
+        if base > 30:
+            continue
+        for n in range(0, 31 - base):
+            for p in sympartitions_by_definition(b, N, n):
+                if not is_sympartition(p, b, N, n):
+                    yield f"generator/predicate disagree at {p} ({b},{N},{n})"
+                bp = from_sympartition(p, b, N, n)
+                if bp.rank != n or min_admissible(bp) > N:
+                    yield f"bad preimage {bp.text()} for {p} ({b},{N},{n})"
+                if kappa(bp, b, N).entries != p:
+                    yield f"round trip fails at {p} ({b},{N},{n})"
+                yield 1
 
 
-def suite_family_partition(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
-    for n in range(max_n + 1):
-        for b in b_list:
-            table = family_table(n, b)
-            seen: set[Bipartition] = set()
-            count = 0
-            for fam in table.families:
-                for bp in fam.members:
-                    count += 1
-                    seen.add(bp)
-                    if kappa(bp, b, n).entries != fam.kappa.entries:
-                        return False, f"member {bp.text()} has wrong kappa (n={n}, b={b})"
-                    if a_value(bp, b) != fam.a:
-                        return False, f"member {bp.text()} has wrong a (n={n}, b={b})"
-            all_bips = enumerate_bipartitions(n)
-            if count != len(all_bips) or seen != set(all_bips):
-                return False, f"families do not partition rank {n} at b={b}"
-            checked += len(all_bips)
-    return True, f"{checked} memberships checked"
+@_checks("memberships checked")
+def suite_family_partition(max_n: int, b_list: tuple[int, ...]):
+    for n, b in product(range(max_n + 1), b_list):
+        seen: list[Bipartition] = []
+        for fam in family_table(n, b).families:
+            for bp in fam.members:
+                seen.append(bp)
+                if kappa(bp, b, n).entries != fam.kappa.entries:
+                    yield f"member {bp.text()} has wrong kappa (n={n}, b={b})"
+                if a_value(bp, b) != fam.a:
+                    yield f"member {bp.text()} has wrong a (n={n}, b={b})"
+        all_bips = enumerate_bipartitions(n)
+        if len(seen) != len(all_bips) or set(seen) != set(all_bips):
+            yield f"families do not partition rank {n} at b={b}"
+        yield len(all_bips)
 
 
-def suite_dominance_stability(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
-    for n in range(max_n + 1):
-        for b in b_list:
-            bips = enumerate_bipartitions(n)
-            at_n = [kappa(bp, b, n).entries for bp in bips]
-            at_n1 = [kappa(bp, b, n + 1).entries for bp in bips]
-            for i in range(len(bips)):
-                for j in range(len(bips)):
-                    checked += 1
-                    if dominance_leq(at_n[i], at_n[j]) != dominance_leq(at_n1[i], at_n1[j]):
-                        return False, (
-                            f"dominance depends on N at {bips[i].text()} vs "
-                            f"{bips[j].text()} (n={n}, b={b})"
-                        )
-    return True, f"{checked} pairs checked"
+@_checks("pairs checked")
+def suite_dominance_stability(max_n: int, b_list: tuple[int, ...]):
+    for n, b in product(range(max_n + 1), b_list):
+        bips = enumerate_bipartitions(n)
+        yield from _row_checks(
+            dominance_rows([kappa(bp, b, n).entries for bp in bips]),
+            dominance_rows([kappa(bp, b, n + 1).entries for bp in bips]),
+            lambda i, j: f"dominance depends on N at {bips[i].text()} vs "
+            f"{bips[j].text()} (n={n}, b={b})",
+        )
 
 
-def suite_asymptotic(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
+@_checks("families checked")
+def suite_asymptotic(max_n: int, b_list: tuple[int, ...]):
     for n in range(max_n + 1):
         weights = {n} | {b for b in b_list if b > n - 1}
         for b in sorted(weights):
             for fam in family_table(n, b).families:
-                checked += 1
                 if len(fam.members) != 1:
-                    return False, f"family of size {len(fam.members)} at n={n}, b={b}"
-    return True, f"{checked} families checked"
+                    yield f"family of size {len(fam.members)} at n={n}, b={b}"
+                yield 1
 
 
 # ---------------------------------------------------------------------------
 # adjacency suites
 
 
-def _adjacent_family_pairs(n: int, b: int):
-    """Covering kappa pairs with their family tables, at N = n."""
-    table = family_table(n, b)
-    cover_up = _poset(n, b).cover_up
-    for i, fam in enumerate(table.families):
-        for j in cover_up[i]:
-            yield fam, table.families[j]
+def _adjacent_family_pairs(max_n: int, b_list: tuple[int, ...]):
+    """(n, b, low, high) for every covering pair of families at N = n, over the grid."""
+    for n, b in product(range(max_n + 1), b_list):
+        families = family_table(n, b).families
+        for fam, ups in zip(families, _poset(n, b).cover_up):
+            for j in ups:
+                yield n, b, fam, families[j]
 
 
-def suite_single_move(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
-    for n in range(max_n + 1):
-        for b in b_list:
-            for low, high in _adjacent_family_pairs(n, b):
-                checked += 1
-                move = _single_move(low.kappa.entries, high.kappa.entries)
-                fr = frame(low.kappa, high.kappa)
-                if not fr.i <= move.k1 < move.k2 <= fr.j:
-                    return False, (
-                        f"move {move} outside frame [{fr.i},{fr.j}] for "
-                        f"{low.kappa.entries} -> {high.kappa.entries}"
-                    )
+@_checks("adjacent pairs checked")
+def suite_single_move(max_n: int, b_list: tuple[int, ...]):
+    for _, _, low, high in _adjacent_family_pairs(max_n, b_list):
+        move = _single_move(low.kappa.entries, high.kappa.entries)
+        fr = frame(low.kappa, high.kappa)
+        if not fr.i <= move.k1 < move.k2 <= fr.j:
+            yield (
+                f"move {move} outside frame [{fr.i},{fr.j}] for "
+                f"{low.kappa.entries} -> {high.kappa.entries}"
+            )
+        try:
+            moved = up(low.kappa.entries, move)
+        except NotAPartition:  # the move is not legal on the low vector
+            moved = None
+        if moved != high.kappa.entries:
+            yield f"move does not reproduce {high.kappa.entries}"
+        yield 1
+
+
+@_checks("frames checked")
+def suite_frame(max_n: int, b_list: tuple[int, ...]):
+    for _, _, low, high in _adjacent_family_pairs(max_n, b_list):
+        lo, hi = low.kappa.entries, high.kappa.entries
+        fr = frame(low.kappa, high.kappa)
+        if lo[: fr.i - 1] != hi[: fr.i - 1] or lo[fr.j :] != hi[fr.j :]:
+            yield f"prefix/suffix equality fails for {lo} -> {hi}"
+        if not part(lo, fr.j) > part(hi, fr.j) >= part(hi, fr.j + 1) >= part(lo, fr.j + 1):
+            yield f"sandwich fails for {lo} -> {hi}"
+        # every legal raising move inside the frame window lands
+        # strictly above the low vector and at most at the high one
+        for k1 in range(fr.i, fr.j + 1):
+            for k2 in range(k1 + 1, fr.j + 1):
                 try:
-                    moved = up(low.kappa.entries, move)
-                except NotAPartition:  # the move is not legal on the low vector
-                    moved = None
-                if moved != high.kappa.entries:
-                    return False, f"move does not reproduce {high.kappa.entries}"
-    return True, f"{checked} adjacent pairs checked"
-
-
-def suite_frame(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
-    for n in range(max_n + 1):
-        for b in b_list:
-            for low, high in _adjacent_family_pairs(n, b):
-                checked += 1
-                lo, hi = low.kappa.entries, high.kappa.entries
-                fr = frame(low.kappa, high.kappa)
-                if lo[: fr.i - 1] != hi[: fr.i - 1] or lo[fr.j :] != hi[fr.j :]:
-                    return False, f"prefix/suffix equality fails for {lo} -> {hi}"
-                js = (
-                    lo[fr.j - 1] > hi[fr.j - 1]
-                    and hi[fr.j - 1] >= (hi[fr.j] if fr.j < len(hi) else 0)
-                    and (hi[fr.j] if fr.j < len(hi) else 0)
-                    >= (lo[fr.j] if fr.j < len(lo) else 0)
-                )
-                if not js:
-                    return False, f"sandwich fails for {lo} -> {hi}"
-                # every legal raising move inside the frame window lands
-                # strictly above the low vector and at most at the high one
-                for k1 in range(fr.i, fr.j + 1):
-                    for k2 in range(k1 + 1, fr.j + 1):
-                        try:
-                            moved = up(lo, BoxMove(k1, k2))
-                        except NotAPartition:
-                            continue
-                        if not (dominance_lt(lo, moved) and dominance_leq(moved, hi)):
-                            return False, f"window move ({k1},{k2}) escapes {lo} -> {hi}"
-    return True, f"{checked} frames checked"
+                    moved = up(lo, BoxMove(k1, k2))
+                except NotAPartition:
+                    continue
+                if not (dominance_lt(lo, moved) and dominance_leq(moved, hi)):
+                    yield f"window move ({k1},{k2}) escapes {lo} -> {hi}"
+        yield 1
 
 
 def suite_double_break(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
     checked = 0
     applicable = 0
-    for n in range(max_n + 1):
-        for b in b_list:
-            for low, high in _adjacent_family_pairs(n, b):
-                checked += 1
-                fr = frame(low.kappa, high.kappa)
-                try:
-                    ok = verify_double_break(high.kappa, fr)
-                except PreconditionViolated:
-                    continue
-                applicable += 1
-                if not ok:
-                    return False, (
-                        f"fewer than two break points on {high.kappa.entries} "
-                        f"frame [{fr.i},{fr.j}]"
-                    )
+    for _, _, low, high in _adjacent_family_pairs(max_n, b_list):
+        checked += 1
+        fr = frame(low.kappa, high.kappa)
+        try:
+            ok = verify_double_break(high.kappa, fr)
+        except PreconditionViolated:
+            continue
+        applicable += 1
+        if not ok:
+            return False, (
+                f"fewer than two break points on {high.kappa.entries} "
+                f"frame [{fr.i},{fr.j}]"
+            )
     return True, f"{applicable} of {checked} pairs in hypothesis, all passed"
 
 
-def suite_witness(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
-    for n in range(max_n + 1):
-        for b in b_list:
-            for low, high in _adjacent_family_pairs(n, b):
-                move = _single_move(low.kappa.entries, high.kappa.entries)
-                case1 = (
-                    low.kappa.entries[move.k2 - 2] != low.kappa.entries[move.k2 - 1]
-                )
-                for a in low.members:
-                    for c in high.members:
-                        checked += 1
-                        w = witness_step(a, c, b)
-                        if w.transposed == case1:
-                            return False, f"wrong case for {a.text()} -> {c.text()} b={b}"
-                        if not witness_is_valid(w, a, c, b):
-                            return False, f"invalid witness for {a.text()} -> {c.text()}"
-                        core = kappa(w.nu, b, n).entries
-                        if not is_sympartition(core, b, n, n - w.l):
-                            return False, f"core not a sympartition for {a.text()} -> {c.text()}"
-    return True, f"{checked} witnesses checked"
+@_checks("witnesses checked")
+def suite_witness(max_n: int, b_list: tuple[int, ...]):
+    for n, b, low, high in _adjacent_family_pairs(max_n, b_list):
+        move = _single_move(low.kappa.entries, high.kappa.entries)
+        case1 = low.kappa.entries[move.k2 - 2] != low.kappa.entries[move.k2 - 1]
+        for a, c in product(low.members, high.members):
+            w = witness_step(a, c, b)
+            if w.transposed == case1:
+                yield f"wrong case for {a.text()} -> {c.text()} b={b}"
+            if not witness_is_valid(w, a, c, b):
+                yield f"invalid witness for {a.text()} -> {c.text()}"
+            core = kappa(w.nu, b, n).entries
+            if not is_sympartition(core, b, n, n - w.l):
+                yield f"core not a sympartition for {a.text()} -> {c.text()}"
+            yield 1
 
 
 # ---------------------------------------------------------------------------
 # order suites
 
 
-def suite_a_monotone(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
-    for n in range(max_n + 1):
-        for b in b_list:
-            fams = family_table(n, b).families
-            for i, above in enumerate(_poset(n, b).above):
-                for j in iter_bits(above):
-                    checked += 1
-                    if fams[i].a < fams[j].a:
-                        return False, (
-                            f"a increases along dominance: {fams[i].kappa.entries} -> "
-                            f"{fams[j].kappa.entries} (n={n}, b={b})"
-                        )
-    return True, f"{checked} comparable pairs checked"
+@_checks("comparable pairs checked")
+def suite_a_monotone(max_n: int, b_list: tuple[int, ...]):
+    for n, b in product(range(max_n + 1), b_list):
+        fams = family_table(n, b).families
+        for i, above in enumerate(_poset(n, b).above):
+            for j in iter_bits(above):
+                if fams[i].a < fams[j].a:
+                    yield (
+                        f"a increases along dominance: {fams[i].kappa.entries} -> "
+                        f"{fams[j].kappa.entries} (n={n}, b={b})"
+                    )
+                yield 1
 
 
-def suite_truncated_shift(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
+@_checks("targets checked")
+def suite_truncated_shift(max_n: int, b_list: tuple[int, ...]):
     for b in b_list:
         for k in range(max_n):
             for l in range(1, max_n - k + 1):
@@ -447,48 +441,40 @@ def suite_truncated_shift(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, st
                     expected = a_value(nu, b) + l * (l - 1) // 2
                     targets = truncated_targets(nu, l, b)
                     if not targets:
-                        return False, f"empty truncated family for {nu.text()} l={l} b={b}"
+                        yield f"empty truncated family for {nu.text()} l={l} b={b}"
                     for mu in targets:
-                        checked += 1
                         if a_value(mu, b) != expected:
-                            return False, (
-                                f"a shift wrong: {nu.text()} -> {mu.text()} l={l} b={b}"
-                            )
-    return True, f"{checked} targets checked"
+                            yield f"a shift wrong: {nu.text()} -> {mu.text()} l={l} b={b}"
+                        yield 1
 
 
-def suite_typea(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
+@_checks("pairs checked")
+def suite_typea(max_n: int, b_list: tuple[int, ...]):
     for n in range(max_n + 1):
         oracle = preceq_typeA_oracle(n)
-        ps = partitions_of(n)
-        for p in ps:
-            for q in ps:
-                checked += 1
-                if oracle.holds(p, q) != dominance_leq(p, q):
-                    return False, f"type A oracle differs from dominance at {p}, {q}"
+        ps = oracle.partitions
+        yield from _row_checks(
+            oracle.rows,
+            dominance_rows([padded(p, n) for p in ps]),
+            lambda i, j: f"type A oracle differs from dominance at {ps[i]}, {ps[j]}",
+        )
     for n in range(min(max_n + 4, 10) + 1):
         for p in partitions_of(n):
             if a_value_typeA(p) != sum(comb(c, 2) for c in transpose(p)):
-                return False, f"type A a-value wrong at {p}"
-    return True, f"{checked} pairs checked"
+                yield f"type A a-value wrong at {p}"
 
 
-def suite_oracle_equivalence(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
-    for n in range(max_n + 1):
-        for b in b_list:
-            oracle = preceq_oracle(n, b)
-            bips = oracle.bipartitions
-            for a in bips:
-                for c in bips:
-                    checked += 1
-                    if oracle.holds(a, c) != preceq(a, c, b):
-                        return False, (
-                            f"oracle and dominance disagree at {a.text()} vs {c.text()} "
-                            f"(n={n}, b={b})"
-                        )
-    return True, f"{checked} ordered pairs checked"
+@_checks("ordered pairs checked")
+def suite_oracle_equivalence(max_n: int, b_list: tuple[int, ...]):
+    for n, b in product(range(max_n + 1), b_list):
+        oracle = preceq_oracle(n, b)
+        bips = oracle.bipartitions
+        yield from _row_checks(
+            oracle.rows,
+            dominance_rows([kappa(bp, b, n).entries for bp in bips]),
+            lambda i, j: f"oracle and dominance disagree at {bips[i].text()} vs "
+            f"{bips[j].text()} (n={n}, b={b})",
+        )
 
 
 SUITES: tuple[tuple[str, Callable[[int, tuple[int, ...]], tuple[bool, str]]], ...] = (
@@ -516,8 +502,4 @@ ORACLE_SUITE = ("preceq-matches-oracle", suite_oracle_equivalence)
 
 def run_suites(max_n: int, b_list: tuple[int, ...], oracle: bool = False) -> list[SuiteResult]:
     selected = SUITES + ((ORACLE_SUITE,) if oracle else ())
-    results = []
-    for name, fn in selected:
-        ok, detail = fn(max_n, tuple(b_list))
-        results.append(SuiteResult(name, ok, detail))
-    return results
+    return [SuiteResult(name, *fn(max_n, tuple(b_list))) for name, fn in selected]

@@ -3,6 +3,7 @@ import pytest
 from bsymbols.adjacency import (
     _poset,
     adjacency_move,
+    dominance_rows,
     frame,
     is_adjacent,
     saturated_chain,
@@ -15,7 +16,7 @@ from bsymbols.errors import (
     PreconditionViolated,
 )
 from bsymbols.families import enumerate_bipartitions, family_hasse, family_table
-from bsymbols.partitions import BoxMove, dominance_leq, up
+from bsymbols.partitions import BoxMove, dominance_leq, padded, partitions_of, up
 from bsymbols.symbols import Bipartition, Kappa, kappa
 
 
@@ -70,6 +71,26 @@ def test_poset_kernel_matches_pairwise_reference(n):
         assert list(poset.cover_up) == cover_up
         edges = sorted((i, j) for i, ups in enumerate(cover_up) for j in ups)
         assert list(family_hasse(table).edges) == edges
+
+
+def pairwise_rows(vectors):
+    return [sum(1 << j for j, w in enumerate(vectors) if dominance_leq(v, w)) for v in vectors]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_dominance_rows_match_pairwise_reference(n):
+    # one kappa per bipartition, so members of a family repeat their vector
+    bips = enumerate_bipartitions(n)
+    for b in range(n + 2):
+        for N in (n, n + 1):
+            vectors = [kappa(bp, b, N).entries for bp in bips]
+            assert list(dominance_rows(vectors)) == pairwise_rows(vectors)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_dominance_rows_of_padded_partitions_match_pairwise_reference(n):
+    vectors = [padded(p, n) for p in partitions_of(n)]
+    assert list(dominance_rows(vectors)) == pairwise_rows(vectors)
 
 
 def test_frame_examples():

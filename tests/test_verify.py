@@ -1,9 +1,15 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from bsymbols import verify
+from bsymbols import cli, verify
+from bsymbols.adjacency import dominance_rows
+from bsymbols.families import enumerate_bipartitions
 from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of
-from bsymbols.preorder import preceq, witness_step
-from bsymbols.symbols import f_stat, is_sympartition
+from bsymbols.preorder import witness_step
+from bsymbols.symbols import Bipartition, f_stat, is_sympartition, kappa
 from bsymbols.typea import a_value_typeA
 from bsymbols.verify import run_suites, sympartitions_by_definition
 
@@ -47,8 +53,28 @@ def test_run_suites_all_pass_small():
 # on them with its first counterexample
 
 
-def preceq_flipped_once(a, c, b):
-    return preceq(a, c, b) != ((a.text(), c.text()) == ("1,1|-", "2|-"))
+def rows_flipped_at(vectors, i, j):
+    """dominance_rows with bit j of row i flipped whenever it is given these vectors."""
+
+    def wrong(given):
+        rows = list(dominance_rows(given))
+        if list(given) == vectors:
+            rows[i] ^= 1 << j
+        return tuple(rows)
+
+    return wrong
+
+
+def rank_rows_flipped_at(low, high, b, N):
+    """The flip at (low, high) among the kappas at (b, N) of their rank, in enumeration order."""
+    texts = [bp.text() for bp in enumerate_bipartitions(Bipartition.parse(low).rank)]
+    vectors = [kappa(Bipartition.parse(t), b, N).entries for t in texts]
+    return rows_flipped_at(vectors, texts.index(low), texts.index(high))
+
+
+def typea_rows_flipped_at(p, q):
+    ps = partitions_of(sum(p))
+    return rows_flipped_at([padded(x, sum(p)) for x in ps], ps.index(p), ps.index(q))
 
 
 def witness_l_off_by_one(a, c, b):
@@ -74,12 +100,29 @@ def move_k1_off_by_one(lo, hi):
     "name, wrong, suite, max_n, b_list, detail",
     [
         (
-            "preceq",
-            preceq_flipped_once,
+            "dominance_rows",
+            rank_rows_flipped_at("1,1|-", "2|-", 0, 2),
             verify.suite_oracle_equivalence,
             2,
             (0,),
             "oracle and dominance disagree at 1,1|- vs 2|- (n=2, b=0)",
+        ),
+        # flipped at N = n + 1 only, so the rows at N = n and N = n + 1 differ
+        (
+            "dominance_rows",
+            rank_rows_flipped_at("-|1,1", "1|1", 1, 3),
+            verify.suite_dominance_stability,
+            2,
+            (1,),
+            "dominance depends on N at -|1,1 vs 1|1 (n=2, b=1)",
+        ),
+        (
+            "dominance_rows",
+            typea_rows_flipped_at((2, 1), (1, 1, 1)),
+            verify.suite_typea,
+            3,
+            (),
+            "type A oracle differs from dominance at (2, 1), (1, 1, 1)",
         ),
         (
             "witness_step",
@@ -115,7 +158,14 @@ def move_k1_off_by_one(lo, hi):
             "type A a-value wrong at (2, 1)",
         ),
     ],
-    ids=["preceq", "witness_step", "single_move-k2", "single_move-k1", "a_value_typeA"],
+    ids=[
+        "preceq",
+        "dominance-stability",
+        "typea-dominance",
+        "witness_step",         "single_move-k2",
+        "single_move-k1",
+        "a_value_typeA",
+    ],
 )
 def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n, b_list, detail):
     assert suite(max_n, b_list)[0] is True
@@ -123,3 +173,22 @@ def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n,
     ok, got = suite(max_n, b_list)
     assert ok is False
     assert got == detail
+
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --max-n 6 --b-list 0,1,2,3 --oracle",  # the README command
+        "verify --max-n 5 --b-list 0,4,5 --oracle",  # the oracle's closure adds pairs at (5, 4)
+        "verify --max-n 7 --b-list 0,3,6",
+    ],
+)
+def test_verify_stdout_matches_pin(capsys, argv):
+    pins = json.loads(PINS.read_text())["pools"]["verify"]
+    pin = next(q for q in pins if q["argv"] == argv.split())
+    code = cli.main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (pin["rc"], pin["sha256"])
