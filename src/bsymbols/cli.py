@@ -23,7 +23,7 @@ from .errors import (
 )
 from .families import family_hasse, family_table
 from .partitions import _single_move, dominance_leq, format_partition
-from .preorder import witness_step
+from .preorder import _witness
 from .symbols import Bipartition, Kappa, Symbol, _rank_kappas, a_value, kappa, symbol
 from .verify import run_suites
 
@@ -133,9 +133,9 @@ def cmd_chain(args: argparse.Namespace) -> int:
     c = Bipartition.parse(args.bipartition2)
     chain = saturated_chain(a, c, args.b)
     kappas = [kappa(x, args.b, a.rank).entries for x in chain]
-    # witness_step proves each step adjacent, so the move is read off directly
+    # saturated_chain's steps between distinct kappas are covers by construction
     steps = [
-        (None, None) if kx == ky else (witness_step(x, y, args.b), _single_move(kx, ky))
+        (None, None) if kx == ky else (_witness(x, y, args.b, kx, ky, m := _single_move(kx, ky)), m)
         for x, y, kx, ky in zip(chain, chain[1:], kappas, kappas[1:])
     ]
     if args.format == "json":

@@ -13,8 +13,9 @@ elementary steps alone, bottom-up in rank, so the two can be compared on
 every pair as an end-to-end check.  Both kinds of target are read from
 the rank's family table: induction_targets tests each family's kappa, and
 truncated_targets looks its one vector up in the table's index.
-witness_step turns one adjacent dominance step into the elementary step
-certifying it.
+witness_step proves one dominance step adjacent and builds the elementary
+step certifying it; callers holding the pair's kappas and move build it
+with _witness.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ._util import GeneratedPreorder, generated_preorder
 from .adjacency import adjacency_move
 from .errors import NotAPartition, NotSympartition, WitnessInvalid
 from .families import enumerate_bipartitions, family_table
-from .partitions import Parts, _single_move, dominance_leq
+from .partitions import BoxMove, Parts, _single_move, dominance_leq
 from .symbols import Bipartition, _rank_kappas, from_sympartition, kappa
 
 
@@ -92,16 +93,14 @@ def witness_is_valid(w: InductionWitness, a: Bipartition, c: Bipartition, b: int
     ).entries == _truncated(base, w.l)
 
 
-def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:
-    """The elementary step certifying one adjacent dominance step a -> c.
+def _witness(
+    a: Bipartition, c: Bipartition, b: int, lo: Parts, hi: Parts, move: BoxMove
+) -> InductionWitness:
+    """witness_step's construction, with the adjacency taken as given.
 
-    When the entry of kappa(a) just above the lowered box is distinct from
-    the lowered one, the certificate removes one box from each of the
-    k2 - 1 largest entries of kappa(c); otherwise it is built on the
-    transposed pair, removing a box from each entry above the raised one.
+    lo and hi are kappa(a) and kappa(c) at N = rank, and hi = up(lo, move).
+    A witness failing its invariants still raises WitnessInvalid.
     """
-    move = adjacency_move(a, c, b)
-    lo, hi = _rank_kappas(a, c, b)
     if lo[move.k2 - 2] != lo[move.k2 - 1]:
         l, transposed = move.k2 - 1, False
     else:
@@ -116,6 +115,19 @@ def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:
     if not witness_is_valid(w, a, c, b):
         raise WitnessInvalid(f"constructed witness fails its invariants: {w}")
     return w
+
+
+def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:
+    """The elementary step certifying one adjacent dominance step a -> c.
+
+    When the entry of kappa(a) just above the lowered box is distinct from
+    the lowered one, the certificate removes one box from each of the
+    k2 - 1 largest entries of kappa(c); otherwise it is built on the
+    transposed pair, removing a box from each entry above the raised one.
+    Raises NotAdjacent unless kappa(c) covers kappa(a).
+    """
+    move = adjacency_move(a, c, b)
+    return _witness(a, c, b, *_rank_kappas(a, c, b), move)
 
 
 def preceq(a: Bipartition, c: Bipartition, b: int) -> bool:

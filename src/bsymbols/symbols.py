@@ -12,6 +12,8 @@ and kappa is the multiset of all 2N+b row entries sorted decreasingly.
 Equality of kappa vectors cuts out the families, and their dominance order
 is the order studied by the rest of the package.  The a-function is the
 weighted sum n_stat(kappa) normalized so that the empty bipartition gets 0.
+from_sympartition inverts kappa: the value counts of a sympartition fix its
+symbol rows up to which row takes each free singleton.
 """
 
 from __future__ import annotations
@@ -186,14 +188,31 @@ def _rows_to_bipartition(row1: Parts, row2: Parts, b: int, N: int) -> Bipartitio
     return Bipartition(first, second)
 
 
+def _preimage(counts: dict[int, int], b: int, N: int) -> Bipartition:
+    """The canonical preimage of a sympartition's profile: _row_splits' first split.
+
+    row2 holds one copy of every doubled value and the smallest singletons
+    of value >= b, as many as make N entries; row1 holds the rest, so the
+    largest free singletons stay in row1.
+    """
+    values = sorted(counts, reverse=True)
+    free = [v for v in values if counts[v] == 1 and v >= b]
+    low = set(free[len(free) - (len(counts) - N - b) :])
+    row1 = tuple(v for v in values if v not in low)
+    row2 = tuple(v for v in values if counts[v] == 2 or v in low)
+    return _rows_to_bipartition(row1, row2, b, N)
+
+
 def from_sympartition(p: Sequence[int], b: int, N: int, n: int) -> Bipartition:
     """One bipartition of n whose kappa at (b, N) equals p.
 
     The canonical choice keeps the largest free singletons in row1, so the
     result is deterministic; the full fiber is family_members.
     """
-    row1, row2 = next(_row_splits(p, b, N, n))
-    return _rows_to_bipartition(row1, row2, b, N)
+    counts = _profile(p, b, N, n)
+    if counts is None:
+        raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
+    return _preimage(counts, b, N)
 
 
 def family_members(p: Sequence[int], b: int, N: int, n: int) -> Set[Bipartition]:

@@ -9,7 +9,8 @@ oracle.  Each suite is a generator of checks under one runner, which
 counts them, stops at the first counterexample and returns (ok, detail):
 "<count> <unit>", or the counterexample's deterministic text.  The three
 rank-wide comparisons (the oracle, N-stability and type A) compare whole
-bitset rows from adjacency.dominance_rows, not pairs.
+bitset rows from adjacency.dominance_rows, not pairs.  The round trip reads
+each vector's profile once, and the witnesses are built from the table's kappas.
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ from .partitions import (
     transpose,
     up,
 )
-from .preorder import preceq_oracle, truncated_targets, witness_is_valid, witness_step
+from .preorder import _witness, preceq_oracle, truncated_targets, witness_is_valid
 from .symbols import (
     EMPTY,
     Bipartition,
+    _preimage,
+    _profile,
     a_value,
     f_stat,
-    from_sympartition,
     is_sympartition,
     kappa,
     min_admissible,
@@ -59,56 +61,37 @@ class SuiteResult(NamedTuple):
     detail: str
 
 
-def _max_pair_sum(slots: int, top: int) -> int:
-    """Largest sum of `slots` values <= top, each used at most twice; -1 if impossible."""
-    if slots > 2 * (top + 1):
-        return -1
-    total, v = 0, top
-    while slots > 0:
-        take = min(2, slots)
-        total += take * v
-        slots -= take
-        v -= 1
-    return total
-
-
-def _min_pair_sum(slots: int) -> int:
-    total, v = 0, 0
-    while slots > 0:
-        take = min(2, slots)
-        total += take * v
-        slots -= take
-        v += 1
-    return total
-
-
 def sympartitions_by_definition(b: int, N: int, n: int) -> Iterator[Parts]:
     """All (b,N,n)-sympartitions in padded form, built from the definition.
 
     Generates every weakly decreasing vector of length 2N+b and total
     f(b,N,n) whose values repeat at most twice, with at most N repeated
-    values, containing every value below b.  Independent of the symbol
-    machinery, so it can serve as the oracle for round-trip checks.
+    values, containing every value below b: values come largest first, a
+    branch stops once it skips one below b and keeps a slot for each still
+    to come.  Independent of the symbol machinery, so it can serve as the
+    oracle for round-trip checks.
     """
-    length = 2 * N + b
-    target = f_stat(b, N, n)
 
     def rec(slots: int, top: int, total: int, doubles_left: int, acc: list[int]) -> Iterator[Parts]:
         if slots == 0:
             if total == 0:
                 yield tuple(acc)
             return
-        hi = min(top, total)
-        for v in range(hi, -1, -1):
-            for mult in (2, 1):
-                if mult > slots or (mult == 2 and doubles_left == 0):
-                    continue
-                rest_slots = slots - mult
+        # (multiplicity, slots left s, least sum q(q-1+r) of s = 2q+r values
+        # each used at most twice); below a cap t their greatest is s*t - least
+        moves = [
+            (mult, s, s // 2 * (s // 2 - 1 + s % 2))
+            for mult, s in ((2, slots - 2), (1, slots - 1))
+            if s >= 0 and (mult == 1 or doubles_left)
+        ]
+        for v in range(min(top, total), -1, -1):
+            if v < top and v < b - 1:  # skips v + 1 < b, as does every smaller v
+                break
+            for mult, rest_slots, least in moves:
                 rest_total = total - mult * v
-                if rest_total < 0:
-                    continue
-                high = _max_pair_sum(rest_slots, v - 1)
-                if high < 0 or rest_total > high or rest_total < _min_pair_sum(rest_slots):
+                if not min(v, b) <= rest_slots <= 2 * v or not (
+                    least <= rest_total <= rest_slots * (v - 1) - least
+                ):
                     continue
                 acc.extend([v] * mult)
                 yield from rec(
@@ -116,10 +99,8 @@ def sympartitions_by_definition(b: int, N: int, n: int) -> Iterator[Parts]:
                 )
                 del acc[-mult:]
 
-    staircase = set(range(b))
-    for vec in rec(length, target, target, N, []):
-        if staircase <= set(vec):
-            yield vec
+    target = f_stat(b, N, n)
+    return rec(2 * N + b, target, target, N, [])
 
 
 def _checks(unit: str):
@@ -274,9 +255,10 @@ def suite_roundtrip(max_n: int, b_list: tuple[int, ...]):
             continue
         for n in range(0, 31 - base):
             for p in sympartitions_by_definition(b, N, n):
-                if not is_sympartition(p, b, N, n):
+                counts = _profile(p, b, N, n)
+                if counts is None:  # is_sympartition is False
                     yield f"generator/predicate disagree at {p} ({b},{N},{n})"
-                bp = from_sympartition(p, b, N, n)
+                bp = _preimage(counts, b, N)
                 if bp.rank != n or min_admissible(bp) > N:
                     yield f"bad preimage {bp.text()} for {p} ({b},{N},{n})"
                 if kappa(bp, b, N).entries != p:
@@ -400,10 +382,11 @@ def suite_double_break(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
 @_checks("witnesses checked")
 def suite_witness(max_n: int, b_list: tuple[int, ...]):
     for n, b, low, high in _adjacent_family_pairs(max_n, b_list):
-        move = _single_move(low.kappa.entries, high.kappa.entries)
-        case1 = low.kappa.entries[move.k2 - 2] != low.kappa.entries[move.k2 - 1]
+        lo, hi = low.kappa.entries, high.kappa.entries
+        move = _single_move(lo, hi)
+        case1 = lo[move.k2 - 2] != lo[move.k2 - 1]
         for a, c in product(low.members, high.members):
-            w = witness_step(a, c, b)
+            w = _witness(a, c, b, lo, hi, move)
             if w.transposed == case1:
                 yield f"wrong case for {a.text()} -> {c.text()} b={b}"
             if not witness_is_valid(w, a, c, b):

@@ -110,6 +110,8 @@ def test_criterion_03_sympartition_characterization():
     ok = ok and round_ok
     elapsed = time.perf_counter() - t0
     report("criterion-03 sympartition-characterization", ok, detail, elapsed, 5.0)
+    # a cheaper pass must not be a smaller one
+    assert detail == "26128 sympartitions round-tripped", f"round trip changed scale: {detail}"
 
 
 def test_criterion_04_adjacency_single_move():

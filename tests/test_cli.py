@@ -272,10 +272,10 @@ def test_verify_reports_failing_suite(capsys, monkeypatch):
 def test_chain_tripwire_exits_5(capsys, monkeypatch):
     from bsymbols.errors import WitnessInvalid
 
-    def broken(a, c, b):
+    def broken(a, c, b, lo, hi, move):
         raise WitnessInvalid("intentional tripwire")
 
-    monkeypatch.setattr(cli, "witness_step", broken)
+    monkeypatch.setattr(cli, "_witness", broken)
     code, out, err = run(capsys, "chain", "-|1,1,1", "3|-", "--b", "1")
     assert code == 5
     assert out == ""

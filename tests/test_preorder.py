@@ -1,8 +1,13 @@
+from itertools import product
+
 import pytest
 
+from bsymbols.adjacency import _poset
 from bsymbols.errors import NotAdjacent, RankMismatch
-from bsymbols.families import enumerate_bipartitions
+from bsymbols.families import enumerate_bipartitions, family_table
+from bsymbols.partitions import _single_move
 from bsymbols.preorder import (
+    _witness,
     induction_targets,
     preceq,
     preceq_oracle,
@@ -223,3 +228,20 @@ def test_truncated_shift_of_a():
                 for nu in enumerate_bipartitions(k):
                     for mu in truncated_targets(nu, l, b):
                         assert a_value(mu, b) == a_value(nu, b) + l * (l - 1) // 2
+
+
+def test_witness_builder_matches_witness_step():
+    # every adjacent member pair for n <= 7 and b <= n + 1, the builder fed
+    # the table's kappas and the move read off them
+    checked = 0
+    for n in range(8):
+        for b in range(n + 2):
+            families = family_table(n, b).families
+            for low, ups in zip(families, _poset(n, b).cover_up):
+                for high in (families[j] for j in ups):
+                    lo, hi = low.kappa.entries, high.kappa.entries
+                    move = _single_move(lo, hi)
+                    for a, c in product(low.members, high.members):
+                        assert _witness(a, c, b, lo, hi, move) == witness_step(a, c, b)
+                        checked += 1
+    assert checked == 5284

@@ -8,8 +8,8 @@ from bsymbols import cli, verify
 from bsymbols.adjacency import dominance_rows
 from bsymbols.families import enumerate_bipartitions
 from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of
-from bsymbols.preorder import witness_step
-from bsymbols.symbols import Bipartition, f_stat, is_sympartition, kappa
+from bsymbols.preorder import _witness
+from bsymbols.symbols import Bipartition, _preimage, _profile, f_stat, is_sympartition, kappa
 from bsymbols.typea import a_value_typeA
 from bsymbols.verify import run_suites, sympartitions_by_definition
 
@@ -30,6 +30,68 @@ def test_generator_matches_predicate_brute_force():
                         expected.add(padded(p, 2 * N + b))
                 got = set(sympartitions_by_definition(b, N, n))
                 assert got == expected, (b, N, n)
+
+
+def unpruned_sympartitions(b, N, n):
+    """The generator before pruning: every vector with at most N values
+    repeated twice, filtered for the staircase after the fact."""
+
+    def max_pair_sum(slots, top):
+        if slots > 2 * (top + 1):
+            return -1
+        total, v = 0, top
+        while slots > 0:
+            take = min(2, slots)
+            total += take * v
+            slots -= take
+            v -= 1
+        return total
+
+    def min_pair_sum(slots):
+        total, v = 0, 0
+        while slots > 0:
+            take = min(2, slots)
+            total += take * v
+            slots -= take
+            v += 1
+        return total
+
+    def rec(slots, top, total, doubles_left, acc):
+        if slots == 0:
+            if total == 0:
+                yield tuple(acc)
+            return
+        for v in range(min(top, total), -1, -1):
+            for mult in (2, 1):
+                if mult > slots or (mult == 2 and doubles_left == 0):
+                    continue
+                rest_slots = slots - mult
+                rest_total = total - mult * v
+                if rest_total < 0:
+                    continue
+                high = max_pair_sum(rest_slots, v - 1)
+                if high < 0 or rest_total > high or rest_total < min_pair_sum(rest_slots):
+                    continue
+                acc.extend([v] * mult)
+                yield from rec(rest_slots, v - 1, rest_total, doubles_left - (mult == 2), acc)
+                del acc[-mult:]
+
+    target = f_stat(b, N, n)
+    for vec in rec(2 * N + b, target, target, N, []):
+        if set(range(b)) <= set(vec):
+            yield vec
+
+
+def test_pruned_generator_matches_unpruned_in_order():
+    # every (b, N, n) of total at most 36; the round-trip suite stops at 30
+    cells = 0
+    for N in range(9):
+        for b in range(37):
+            for n in range(37 - f_stat(b, N, 0)):
+                got = list(sympartitions_by_definition(b, N, n))
+                assert got == list(unpruned_sympartitions(b, N, n)), (b, N, n)
+                cells += 1
+    assert cells == 870
 
 
 def test_generator_yields_padded_sorted_vectors():
@@ -77,9 +139,23 @@ def typea_rows_flipped_at(p, q):
     return rows_flipped_at([padded(x, sum(p)) for x in ps], ps.index(p), ps.index(q))
 
 
-def witness_l_off_by_one(a, c, b):
-    w = witness_step(a, c, b)
+def witness_l_off_by_one(*args):
+    w = _witness(*args)
     return w._replace(l=w.l + 1)
+
+
+def profile_rejects(vector, b, N, n):
+    """_profile, but None (no sympartition) for this one vector at (b, N, n)."""
+    return lambda *args: None if args == (vector, b, N, n) else _profile(*args)
+
+
+def preimage_replaced(counts, b, N, text):
+    """_preimage, but the bipartition `text` for the profile `counts` at (b, N)."""
+
+    def wrong(*args):
+        return Bipartition.parse(text) if args == (counts, b, N) else _preimage(*args)
+
+    return wrong
 
 
 def a_value_typea_wrong_once(p):
@@ -125,7 +201,7 @@ def move_k1_off_by_one(lo, hi):
             "type A oracle differs from dominance at (2, 1), (1, 1, 1)",
         ),
         (
-            "witness_step",
+            "_witness",
             witness_l_off_by_one,
             verify.suite_witness,
             2,
@@ -157,14 +233,44 @@ def move_k1_off_by_one(lo, hi):
             (),
             "type A a-value wrong at (2, 1)",
         ),
+        (
+            "_profile",
+            profile_rejects((1, 1, 0), 1, 1, 1),
+            verify.suite_roundtrip,
+            0,
+            (),
+            "generator/predicate disagree at (1, 1, 0) (1,1,1)",
+        ),
+        # the profile of (1, 1, 0) at (b, N) = (1, 1); its preimage is -|1
+        (
+            "_preimage",
+            preimage_replaced({1: 2, 0: 1}, 1, 1, "-|-"),
+            verify.suite_roundtrip,
+            0,
+            (),
+            "bad preimage -|- for (1, 1, 0) (1,1,1)",
+        ),
+        # 1|- has the right rank, but its kappa is (2, 0, 0)
+        (
+            "_preimage",
+            preimage_replaced({1: 2, 0: 1}, 1, 1, "1|-"),
+            verify.suite_roundtrip,
+            0,
+            (),
+            "round trip fails at (1, 1, 0) (1,1,1)",
+        ),
     ],
     ids=[
         "preceq",
         "dominance-stability",
         "typea-dominance",
-        "witness_step",         "single_move-k2",
+        "witness_step",
+        "single_move-k2",
         "single_move-k1",
         "a_value_typeA",
+        "roundtrip-profile",
+        "roundtrip-bad-preimage",
+        "roundtrip-fails",
     ],
 )
 def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n, b_list, detail):
