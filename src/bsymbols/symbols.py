@@ -158,27 +158,22 @@ def is_sympartition(p: Sequence[int], b: int, N: int, n: int) -> bool:
     return _profile(p, b, N, n) is not None
 
 
-def _row_splits(p: Sequence[int], b: int, N: int, n: int) -> Iterator[tuple[Parts, Parts]]:
-    """All ways to write the sympartition p as row1 + row2 of a symbol.
+def _row_splits(counts: dict[int, int], b: int, N: int) -> Iterator[tuple[Parts, Parts]]:
+    """All ways to write a sympartition, given by its profile, as row1 + row2 of a symbol.
 
     Every doubled value contributes one copy to each row; the staircase
     values 0..b-1 sit at the bottom of row1; the remaining singletons of
     value >= b are split between the top of row1 and row2, which is the
-    only freedom.  Yields (row1, row2) with both rows strictly decreasing.
+    only freedom.  Yields (row1, row2) with both rows strictly decreasing,
+    first the split keeping the largest free singletons in row1.
     """
-    counts = _profile(p, b, N, n)
-    if counts is None:
-        raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
-    doubles = sorted((v for v, c in counts.items() if c == 2), reverse=True)
-    singles = sorted((v for v, c in counts.items() if c == 1), reverse=True)
-    low_singles = [v for v in singles if v < b]
-    high_singles = [v for v in singles if v >= b]
-    room = N - sum(1 for v in doubles if v >= b)
-    assert 0 <= room <= len(high_singles)
-    for chosen in combinations(high_singles, room):
-        taken = set(chosen)
-        row1 = tuple(sorted(doubles + low_singles + list(chosen), reverse=True))
-        row2 = tuple(sorted(doubles + [v for v in high_singles if v not in taken], reverse=True))
+    values = sorted(counts, reverse=True)
+    free = [v for v in reversed(values) if counts[v] == 1 and v >= b]
+    to_row2 = len(counts) - N - b  # row2 is every doubled value and these free singletons
+    assert 0 <= to_row2 <= len(free)
+    for low in map(set, combinations(free, to_row2)):
+        row1 = tuple(v for v in values if v not in low)
+        row2 = tuple(v for v in values if counts[v] == 2 or v in low)
         yield row1, row2
 
 
@@ -186,21 +181,6 @@ def _rows_to_bipartition(row1: Parts, row2: Parts, b: int, N: int) -> Bipartitio
     first = normalize(tuple(v + j - (N + b) for j, v in enumerate(row1, 1)))
     second = normalize(tuple(v + j - N for j, v in enumerate(row2, 1)))
     return Bipartition(first, second)
-
-
-def _preimage(counts: dict[int, int], b: int, N: int) -> Bipartition:
-    """The canonical preimage of a sympartition's profile: _row_splits' first split.
-
-    row2 holds one copy of every doubled value and the smallest singletons
-    of value >= b, as many as make N entries; row1 holds the rest, so the
-    largest free singletons stay in row1.
-    """
-    values = sorted(counts, reverse=True)
-    free = [v for v in values if counts[v] == 1 and v >= b]
-    low = set(free[len(free) - (len(counts) - N - b) :])
-    row1 = tuple(v for v in values if v not in low)
-    row2 = tuple(v for v in values if counts[v] == 2 or v in low)
-    return _rows_to_bipartition(row1, row2, b, N)
 
 
 def from_sympartition(p: Sequence[int], b: int, N: int, n: int) -> Bipartition:
@@ -212,9 +192,12 @@ def from_sympartition(p: Sequence[int], b: int, N: int, n: int) -> Bipartition:
     counts = _profile(p, b, N, n)
     if counts is None:
         raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
-    return _preimage(counts, b, N)
+    return _rows_to_bipartition(*next(_row_splits(counts, b, N)), b, N)
 
 
 def family_members(p: Sequence[int], b: int, N: int, n: int) -> Set[Bipartition]:
     """The whole family: every bipartition of n with kappa equal to p."""
-    return {_rows_to_bipartition(r1, r2, b, N) for r1, r2 in _row_splits(p, b, N, n)}
+    counts = _profile(p, b, N, n)
+    if counts is None:
+        raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
+    return {_rows_to_bipartition(r1, r2, b, N) for r1, r2 in _row_splits(counts, b, N)}

@@ -43,8 +43,9 @@ from .preorder import _witness, preceq_oracle, truncated_targets, witness_is_val
 from .symbols import (
     EMPTY,
     Bipartition,
-    _preimage,
     _profile,
+    _row_splits,
+    _rows_to_bipartition,
     a_value,
     f_stat,
     is_sympartition,
@@ -258,7 +259,7 @@ def suite_roundtrip(max_n: int, b_list: tuple[int, ...]):
                 counts = _profile(p, b, N, n)
                 if counts is None:  # is_sympartition is False
                     yield f"generator/predicate disagree at {p} ({b},{N},{n})"
-                bp = _preimage(counts, b, N)
+                bp = _rows_to_bipartition(*next(_row_splits(counts, b, N)), b, N)
                 if bp.rank != n or min_admissible(bp) > N:
                     yield f"bad preimage {bp.text()} for {p} ({b},{N},{n})"
                 if kappa(bp, b, N).entries != p:

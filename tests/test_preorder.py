@@ -2,12 +2,11 @@ from itertools import product
 
 import pytest
 
-from bsymbols.adjacency import _poset
+from bsymbols.adjacency import _poset, adjacency_move
 from bsymbols.errors import NotAdjacent, RankMismatch
 from bsymbols.families import enumerate_bipartitions, family_table
 from bsymbols.partitions import _single_move
 from bsymbols.preorder import (
-    _witness,
     induction_targets,
     preceq,
     preceq_oracle,
@@ -18,6 +17,7 @@ from bsymbols.preorder import (
 from bsymbols.symbols import (
     EMPTY,
     Bipartition,
+    _rank_kappas,
     a_value,
     bipartition,
     is_sympartition,
@@ -230,9 +230,11 @@ def test_truncated_shift_of_a():
                         assert a_value(mu, b) == a_value(nu, b) + l * (l - 1) // 2
 
 
-def test_witness_builder_matches_witness_step():
-    # every adjacent member pair for n <= 7 and b <= n + 1, the builder fed
-    # the table's kappas and the move read off them
+def test_table_kappas_and_move_are_witness_step_inputs():
+    # suite_witness and chain build witnesses from the family table's kappas
+    # and the move read off them; witness_step builds the same witness from
+    # _rank_kappas and adjacency_move.  Every adjacent member pair for n <= 7
+    # and b <= n + 1.
     checked = 0
     for n in range(8):
         for b in range(n + 2):
@@ -242,6 +244,7 @@ def test_witness_builder_matches_witness_step():
                     lo, hi = low.kappa.entries, high.kappa.entries
                     move = _single_move(lo, hi)
                     for a, c in product(low.members, high.members):
-                        assert _witness(a, c, b, lo, hi, move) == witness_step(a, c, b)
+                        assert (lo, hi) == _rank_kappas(a, c, b)
+                        assert move == adjacency_move(a, c, b)
                         checked += 1
     assert checked == 5284

@@ -7,8 +7,6 @@ from bsymbols.partitions import size
 from bsymbols.symbols import (
     EMPTY,
     Bipartition,
-    _row_splits,
-    _rows_to_bipartition,
     a_value,
     bipartition,
     f_stat,
@@ -20,7 +18,6 @@ from bsymbols.symbols import (
     n_stat,
     symbol,
 )
-from bsymbols.verify import sympartitions_by_definition
 
 # the ten bipartitions of 3 with their symbols and kappas at b=1, N=3
 B3_TABLE = [
@@ -179,6 +176,12 @@ def test_from_sympartition_lands_in_family():
     assert bp.text() in {"1,1,1|-", "-|2,1", "1|1,1"}
 
 
+def test_from_sympartition_keeps_the_largest_free_singletons_in_row1():
+    # the free singletons of (4, 3, 2, 2, 1, 0, 0) at (b, N) = (1, 3) are 4, 3, 1;
+    # row1 keeps 4 and 3, so the rows are (4, 3, 2, 0) and (2, 1, 0)
+    assert from_sympartition((4, 3, 2, 2, 1, 0, 0), 1, 3, 3).text() == "1,1,1|-"
+
+
 def test_from_sympartition_rejects():
     with pytest.raises(NotSympartition):
         from_sympartition((3, 2, 1), 1, 1, 5)
@@ -231,12 +234,3 @@ def test_transpose_involution_on_bipartitions(n, b):
 def test_bipartition_text_round_trip():
     for text in ("5,1|2,2,1", "-|1,1,1", "-|-", "3|-"):
         assert Bipartition.parse(text).text() == text
-
-
-def test_from_sympartition_is_first_row_split():
-    for N in range(5):
-        for b in range(6):
-            for n in range(25 - f_stat(b, N, 0)):
-                for p in sympartitions_by_definition(b, N, n):
-                    first = _rows_to_bipartition(*next(_row_splits(p, b, N, n)), b, N)
-                    assert from_sympartition(p, b, N, n) == first, (p, b, N, n)

@@ -9,7 +9,7 @@ from bsymbols.adjacency import dominance_rows
 from bsymbols.families import enumerate_bipartitions
 from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of
 from bsymbols.preorder import _witness
-from bsymbols.symbols import Bipartition, _preimage, _profile, f_stat, is_sympartition, kappa
+from bsymbols.symbols import Bipartition, _profile, _row_splits, f_stat, is_sympartition, kappa
 from bsymbols.typea import a_value_typeA
 from bsymbols.verify import run_suites, sympartitions_by_definition
 
@@ -149,11 +149,11 @@ def profile_rejects(vector, b, N, n):
     return lambda *args: None if args == (vector, b, N, n) else _profile(*args)
 
 
-def preimage_replaced(counts, b, N, text):
-    """_preimage, but the bipartition `text` for the profile `counts` at (b, N)."""
+def row_splits_replaced(counts, b, N, rows):
+    """_row_splits, but first the split `rows` for the profile `counts` at (b, N)."""
 
     def wrong(*args):
-        return Bipartition.parse(text) if args == (counts, b, N) else _preimage(*args)
+        return iter([rows]) if args == (counts, b, N) else _row_splits(*args)
 
     return wrong
 
@@ -241,19 +241,20 @@ def move_k1_off_by_one(lo, hi):
             (),
             "generator/predicate disagree at (1, 1, 0) (1,1,1)",
         ),
-        # the profile of (1, 1, 0) at (b, N) = (1, 1); its preimage is -|1
+        # the profile of (1, 1, 0) at (b, N) = (1, 1) splits as (1, 0) + (1,), the rows of -|1;
+        # the rows (1, 0) + (0,) are those of -|-
         (
-            "_preimage",
-            preimage_replaced({1: 2, 0: 1}, 1, 1, "-|-"),
+            "_row_splits",
+            row_splits_replaced({1: 2, 0: 1}, 1, 1, ((1, 0), (0,))),
             verify.suite_roundtrip,
             0,
             (),
             "bad preimage -|- for (1, 1, 0) (1,1,1)",
         ),
-        # 1|- has the right rank, but its kappa is (2, 0, 0)
+        # (2, 0) + (0,) are the rows of 1|-, which has the right rank but kappa (2, 0, 0)
         (
-            "_preimage",
-            preimage_replaced({1: 2, 0: 1}, 1, 1, "1|-"),
+            "_row_splits",
+            row_splits_replaced({1: 2, 0: 1}, 1, 1, ((2, 0), (0,))),
             verify.suite_roundtrip,
             0,
             (),
