@@ -11,6 +11,7 @@ the induction preorder against an independent fixpoint oracle.
 
 from .adjacency import (
     AdjacencyFrame,
+    _poset,
     adjacency_move,
     frame,
     is_adjacent,
@@ -56,6 +57,7 @@ from .partitions import (
 from .preorder import (
     InductionWitness,
     PreceqOracle,
+    _oracle_rows,
     induction_targets,
     preceq,
     preceq_oracle,
@@ -80,6 +82,7 @@ from .symbols import (
     symbol,
 )
 from .typea import (
+    _typea_rows,
     a_value_typeA,
     adjacent_single_box,
     pieri_targets,
@@ -117,6 +120,7 @@ __all__ = [
     "adjacent_single_box",
     "bipartition",
     "break_points",
+    "clear_caches",
     "dominance_leq",
     "down",
     "enumerate_bipartitions",
@@ -152,3 +156,20 @@ __all__ = [
     "witness_is_valid",
     "witness_step",
 ]
+
+
+def clear_caches() -> None:
+    """Empty the package's memo tables.
+
+    The rank tables, posets and oracle closures are cached without bound
+    for the life of the process; a long-lived caller can drop them here.
+    """
+    for cached in (
+        family_table,
+        _poset,
+        _oracle_rows,
+        _typea_rows,
+        enumerate_bipartitions,
+        partitions_of,
+    ):
+        cached.cache_clear()

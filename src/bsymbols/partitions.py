@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from operator import ge
 from typing import Iterator, Sequence
 
 from .errors import NoSingleMove, NotAPartition, SizeMismatch
@@ -39,18 +40,19 @@ class BoxMove:
 
 def as_partition(seq: Sequence[int]) -> Parts:
     """Validate seq as a partition and return it as a tuple, zeros kept."""
-    parts = tuple(int(v) for v in seq)
+    parts = tuple(map(int, seq))
     if parts and parts[-1] < 0:
         raise NotAPartition(f"negative part in {parts}")
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise NotAPartition(f"not weakly decreasing: {parts}")
+    if not all(map(ge, parts, parts[1:])):
+        raise NotAPartition(f"not weakly decreasing: {parts}")
     return parts
 
 
 def normalize(seq: Sequence[int]) -> Parts:
     """Drop trailing zeros."""
     parts = tuple(seq)
+    if not parts or parts[-1]:
+        return parts
     end = len(parts)
     while end > 0 and parts[end - 1] == 0:
         end -= 1

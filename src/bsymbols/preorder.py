@@ -15,7 +15,8 @@ the rank's family table: induction_targets tests each family's kappa, and
 truncated_targets looks its one vector up in the table's index.
 witness_step proves one dominance step adjacent and builds the elementary
 step certifying it; callers holding the pair's kappas and move build it
-with _witness.
+with _witness, which checks it, or with _build_witness, which leaves the
+check to them.
 """
 
 from __future__ import annotations
@@ -93,13 +94,14 @@ def witness_is_valid(w: InductionWitness, a: Bipartition, c: Bipartition, b: int
     ).entries == _truncated(base, w.l)
 
 
-def _witness(
+def _build_witness(
     a: Bipartition, c: Bipartition, b: int, lo: Parts, hi: Parts, move: BoxMove
 ) -> InductionWitness:
     """witness_step's construction, with the adjacency taken as given.
 
     lo and hi are kappa(a) and kappa(c) at N = rank, and hi = up(lo, move).
-    A witness failing its invariants still raises WitnessInvalid.
+    The witness is not checked; a core that is no sympartition raises
+    WitnessInvalid.
     """
     if lo[move.k2 - 2] != lo[move.k2 - 1]:
         l, transposed = move.k2 - 1, False
@@ -109,9 +111,16 @@ def _witness(
     core = tuple(v - 1 if t < l else v for t, v in enumerate(hi))
     n = a.rank
     try:
-        w = InductionWitness(from_sympartition(core, b, n, n - l), l, transposed)
+        return InductionWitness(from_sympartition(core, b, n, n - l), l, transposed)
     except (NotAPartition, NotSympartition, ValueError) as exc:
         raise WitnessInvalid(f"no witness for {a.text()} -> {c.text()}: {exc}") from exc
+
+
+def _witness(
+    a: Bipartition, c: Bipartition, b: int, lo: Parts, hi: Parts, move: BoxMove
+) -> InductionWitness:
+    """_build_witness, with a witness failing its invariants raising WitnessInvalid."""
+    w = _build_witness(a, c, b, lo, hi, move)
     if not witness_is_valid(w, a, c, b):
         raise WitnessInvalid(f"constructed witness fails its invariants: {w}")
     return w

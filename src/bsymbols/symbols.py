@@ -19,6 +19,7 @@ symbol rows up to which row takes each free singleton.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add
 from typing import Iterator, NamedTuple, Sequence, Set
 
 from . import partitions as pt
@@ -78,16 +79,22 @@ def symbol(bp: Bipartition, b: int, N: int | None = None) -> Symbol:
     """The (b, N)-symbol of bp; N defaults to the minimal admissible value."""
     if b < 0:
         raise ValueError("weight b must be >= 0")
-    least = min_admissible(bp)
+    first, second = normalize(bp.first), normalize(bp.second)
+    least = max(len(first), len(second))
     if N is None:
         N = least
     if N < least:
         raise NotAdmissible(f"N={N} is below the minimal admissible {least} for {bp.text()}")
-    first = pt.padded(normalize(bp.first), N + b)
-    second = pt.padded(normalize(bp.second), N)
-    row1 = tuple(first[j - 1] - j + N + b for j in range(N + b, 0, -1))
-    row2 = tuple(second[j - 1] - j + N for j in range(N, 0, -1))
-    return Symbol(b, N, row2, row1)
+    return Symbol(b, N, _row(second, N), _row(first, N + b))
+
+
+def _row(parts: Parts, c: int) -> Parts:
+    """The increasing row l_j - j + c, j = c..1, of a normalized partition with at most c parts.
+
+    Its zero parts give the staircase 0..c-len-1; part l_j adds c - j to it.
+    """
+    start = c - len(parts)
+    return (*range(start), *map(add, reversed(parts), range(start, c)))
 
 
 def kappa(bp: Bipartition, b: int, N: int | None = None) -> Kappa:
@@ -135,11 +142,13 @@ def _profile(p: Sequence[int], b: int, N: int, n: int) -> dict[int, int] | None:
         raise ValueError("b, N, n must all be >= 0")
     parts = pt.as_partition(p)
     length = 2 * N + b
-    if len(parts) > length or pt.size(parts) != f_stat(b, N, n):
+    if len(parts) > length or sum(parts) != f_stat(b, N, n):
         return None
     counts: dict[int, int] = {}
-    for v in pt.padded(parts, length):
+    for v in parts:
         counts[v] = counts.get(v, 0) + 1
+    if length > len(parts):
+        counts[0] = counts.get(0, 0) + length - len(parts)
     # with no value thrice, length - len(counts) is the number of doubles
     if max(counts.values(), default=0) > 2 or length - len(counts) > N:
         return None
@@ -178,8 +187,8 @@ def _row_splits(counts: dict[int, int], b: int, N: int) -> Iterator[tuple[Parts,
 
 
 def _rows_to_bipartition(row1: Parts, row2: Parts, b: int, N: int) -> Bipartition:
-    first = normalize(tuple(v + j - (N + b) for j, v in enumerate(row1, 1)))
-    second = normalize(tuple(v + j - N for j, v in enumerate(row2, 1)))
+    first = normalize([v + j - (N + b) for j, v in enumerate(row1, 1)])
+    second = normalize([v + j - N for j, v in enumerate(row2, 1)])
     return Bipartition(first, second)
 
 

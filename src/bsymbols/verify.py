@@ -10,7 +10,8 @@ counts them, stops at the first counterexample and returns (ok, detail):
 "<count> <unit>", or the counterexample's deterministic text.  The three
 rank-wide comparisons (the oracle, N-stability and type A) compare whole
 bitset rows from adjacency.dominance_rows, not pairs.  The round trip reads
-each vector's profile once, and the witnesses are built from the table's kappas.
+each vector's profile once, and each witness is built from the table's
+kappas and checked once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .partitions import (
     transpose,
     up,
 )
-from .preorder import _witness, preceq_oracle, truncated_targets, witness_is_valid
+from .preorder import _build_witness, preceq_oracle, truncated_targets, witness_is_valid
 from .symbols import (
     EMPTY,
     Bipartition,
@@ -78,21 +79,21 @@ def sympartitions_by_definition(b: int, N: int, n: int) -> Iterator[Parts]:
             if total == 0:
                 yield tuple(acc)
             return
-        # (multiplicity, slots left s, least sum q(q-1+r) of s = 2q+r values
-        # each used at most twice); below a cap t their greatest is s*t - least
-        moves = [
-            (mult, s, s // 2 * (s // 2 - 1 + s % 2))
-            for mult, s in ((2, slots - 2), (1, slots - 1))
-            if s >= 0 and (mult == 1 or doubles_left)
-        ]
+        # (multiplicity, slots left)
+        moves = ((1, slots - 1),)
+        if doubles_left and slots >= 2:
+            moves = ((2, slots - 2),) + moves
         for v in range(min(top, total), -1, -1):
             if v < top and v < b - 1:  # skips v + 1 < b, as does every smaller v
                 break
-            for mult, rest_slots, least in moves:
+            for mult, rest_slots in moves:
+                # a slot for each of the min(v, b) values below b still to
+                # come, and no value below v taken more than twice
+                if rest_slots < v and rest_slots < b or rest_slots > 2 * v:
+                    continue
                 rest_total = total - mult * v
-                if not min(v, b) <= rest_slots <= 2 * v or not (
-                    least <= rest_total <= rest_slots * (v - 1) - least
-                ):
+                low = least[rest_slots]
+                if not low <= rest_total <= rest_slots * (v - 1) - low:
                     continue
                 acc.extend([v] * mult)
                 yield from rec(
@@ -100,6 +101,9 @@ def sympartitions_by_definition(b: int, N: int, n: int) -> Iterator[Parts]:
                 )
                 del acc[-mult:]
 
+    # least[s] = q(q-1+r) is the least sum of s = 2q+r values each used at
+    # most twice; below a cap t their greatest is s*t - least[s]
+    least = [s // 2 * (s // 2 - 1 + s % 2) for s in range(2 * N + b)]
     target = f_stat(b, N, n)
     return rec(2 * N + b, target, target, N, [])
 
@@ -387,7 +391,7 @@ def suite_witness(max_n: int, b_list: tuple[int, ...]):
         move = _single_move(lo, hi)
         case1 = lo[move.k2 - 2] != lo[move.k2 - 1]
         for a, c in product(low.members, high.members):
-            w = _witness(a, c, b, lo, hi, move)
+            w = _build_witness(a, c, b, lo, hi, move)
             if w.transposed == case1:
                 yield f"wrong case for {a.text()} -> {c.text()} b={b}"
             if not witness_is_valid(w, a, c, b):

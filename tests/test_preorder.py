@@ -2,8 +2,9 @@ from itertools import product
 
 import pytest
 
+from bsymbols import preorder
 from bsymbols.adjacency import _poset, adjacency_move
-from bsymbols.errors import NotAdjacent, RankMismatch
+from bsymbols.errors import NotAdjacent, RankMismatch, WitnessInvalid
 from bsymbols.families import enumerate_bipartitions, family_table
 from bsymbols.partitions import _single_move
 from bsymbols.preorder import (
@@ -135,6 +136,15 @@ def test_witness_case2_example():
     assert w.l == 2
     assert w.nu.rank == 1
     assert witness_is_valid(w, a, c, 1)
+
+
+def test_witness_tripwire_catches_an_invalid_built_witness(monkeypatch):
+    a = Bipartition.parse("2,1|-")
+    c = Bipartition.parse("3|-")
+    build = preorder._build_witness
+    monkeypatch.setattr(preorder, "_build_witness", lambda *args: build(*args)._replace(l=2))
+    with pytest.raises(WitnessInvalid, match="constructed witness fails its invariants"):
+        witness_step(a, c, 1)
 
 
 def test_witness_rejects_non_adjacent():

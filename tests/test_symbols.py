@@ -1,12 +1,15 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from bsymbols.errors import NotAdmissible, NotSympartition
+from bsymbols.errors import NotAdmissible, NotAPartition, NotSympartition
 from bsymbols.families import enumerate_bipartitions
-from bsymbols.partitions import size
+from bsymbols.partitions import partitions_of, size
 from bsymbols.symbols import (
     EMPTY,
     Bipartition,
+    _profile,
     a_value,
     bipartition,
     f_stat,
@@ -234,3 +237,99 @@ def test_transpose_involution_on_bipartitions(n, b):
 def test_bipartition_text_round_trip():
     for text in ("5,1|2,2,1", "-|1,1,1", "-|-", "3|-"):
         assert Bipartition.parse(text).text() == text
+
+
+# reference definitions, written from the module docstring with every row
+# and vector padded to its full length, for the differential tests below
+
+
+def symbol_by_formula(bp, b, N):
+    """(row2, row1) with row1_j = l1_j - j + N + b and row2_j = l2_j - j + N, increasing."""
+
+    def row(parts, c):
+        parts = [v for v in parts if v]
+        parts += [0] * (c - len(parts))
+        return tuple(parts[j - 1] - j + c for j in range(c, 0, -1))
+
+    return row(bp.second, N), row(bp.first, N + b)
+
+
+def profile_by_definition(p, b, N, n):
+    length = 2 * N + b
+    if len(p) > length or sum(p) != f_stat(b, N, n):
+        return None
+    counts = Counter(tuple(p) + (0,) * (length - len(p)))
+    doubles = sum(1 for c in counts.values() if c == 2)
+    if any(c > 2 for c in counts.values()) or doubles > N or not all(v in counts for v in range(b)):
+        return None
+    return dict(counts)
+
+
+# components with trailing zeros, as a caller may build them directly
+ZERO_TAILED = (
+    Bipartition((2, 0), ()),
+    Bipartition((), (1, 0, 0)),
+    Bipartition((3, 1, 0), (2, 0)),
+    Bipartition((0,), (0, 0)),
+)
+
+
+def test_symbol_and_kappa_match_the_formula():
+    bips = [bp for n in range(9) for bp in enumerate_bipartitions(n)] + list(ZERO_TAILED)
+    checked = 0
+    for bp in bips:
+        least = max(len([v for v in bp.first if v]), len([v for v in bp.second if v]))
+        for b in range(5):
+            assert symbol(bp, b) == symbol(bp, b, least)
+            for N in range(least, least + 3):
+                row2, row1 = symbol_by_formula(bp, b, N)
+                assert symbol(bp, b, N) == (b, N, row2, row1), (bp, b, N)
+                expected = tuple(sorted(row1 + row2, reverse=True))
+                assert kappa(bp, b, N) == (expected, b, N), (bp, b, N)
+                checked += 1
+    assert checked == 15 * (sum(len(enumerate_bipartitions(n)) for n in range(9)) + 4)
+
+
+def test_profile_matches_the_padded_counter_definition():
+    found = 0
+    for total in range(15):
+        for p in partitions_of(total):
+            for b in range(5):
+                for N in range(5):
+                    n = total - f_stat(b, N, 0)
+                    if n < 0:
+                        continue
+                    length = 2 * N + b
+                    shapes = [p] + ([p + (0,) * (length - len(p))] if len(p) < length else [])
+                    for q in shapes:
+                        for m in (n, n + 1):
+                            expected = profile_by_definition(q, b, N, m)
+                            assert _profile(q, b, N, m) == expected, (q, b, N, m)
+                            found += expected is not None
+    assert found > 0
+
+
+def error_text(call, *args):
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def test_error_paths_keep_type_and_message():
+    bp = bipartition((5, 1), (2, 2, 1))
+    below = "N=2 is below the minimal admissible 3 for 5,1|2,2,1"
+    assert error_text(symbol, bp, -1, 0) == (ValueError, "weight b must be >= 0")
+    assert error_text(kappa, bp, -1) == (ValueError, "weight b must be >= 0")
+    assert error_text(symbol, bp, 2, 2) == (NotAdmissible, below)
+    assert error_text(kappa, bp, 2, 2) == (NotAdmissible, below)
+    assert error_text(symbol, Bipartition((2, 0), ()), 0, 0) == (
+        NotAdmissible,
+        "N=0 is below the minimal admissible 1 for 2,0|-",
+    )
+    assert error_text(_profile, (1, 1), -1, 0, 0) == (ValueError, "b, N, n must all be >= 0")
+    assert error_text(_profile, (1, 2), 0, 1, 0) == (NotAPartition, "not weakly decreasing: (1, 2)")
+    assert error_text(_profile, (2, -1), 0, 1, 0) == (NotAPartition, "negative part in (2, -1)")
+    assert error_text(is_sympartition, (1, -1, 0), 1, 1, 0) == (
+        NotAPartition,
+        "not weakly decreasing: (1, -1, 0)",
+    )

@@ -4,11 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from bsymbols import cli, verify
+from bsymbols import cli, preorder, verify
 from bsymbols.adjacency import dominance_rows
 from bsymbols.families import enumerate_bipartitions
 from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of
-from bsymbols.preorder import _witness
+from bsymbols.preorder import _build_witness, witness_is_valid
 from bsymbols.symbols import Bipartition, _profile, _row_splits, f_stat, is_sympartition, kappa
 from bsymbols.typea import a_value_typeA
 from bsymbols.verify import run_suites, sympartitions_by_definition
@@ -140,7 +140,7 @@ def typea_rows_flipped_at(p, q):
 
 
 def witness_l_off_by_one(*args):
-    w = _witness(*args)
+    w = _build_witness(*args)
     return w._replace(l=w.l + 1)
 
 
@@ -201,7 +201,7 @@ def move_k1_off_by_one(lo, hi):
             "type A oracle differs from dominance at (2, 1), (1, 1, 1)",
         ),
         (
-            "_witness",
+            "_build_witness",
             witness_l_off_by_one,
             verify.suite_witness,
             2,
@@ -280,6 +280,21 @@ def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n,
     ok, got = suite(max_n, b_list)
     assert ok is False
     assert got == detail
+
+
+def test_suite_witness_checks_each_witness_once(monkeypatch):
+    calls = []
+
+    def counted(w, a, c, b):
+        calls.append((a, c, b))
+        return witness_is_valid(w, a, c, b)
+
+    # the suite's own check, and the one _witness would make
+    monkeypatch.setattr(verify, "witness_is_valid", counted)
+    monkeypatch.setattr(preorder, "witness_is_valid", counted)
+    ok, detail = verify.suite_witness(4, (0, 1, 2))
+    assert (ok, detail) == (True, f"{len(calls)} witnesses checked")
+    assert len(set(calls)) == len(calls) > 0
 
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
