@@ -115,36 +115,39 @@ def overlap_count(p: Sequence[int], l: int) -> int:
     return sum(1 for _, run in groupby(p) if sum(1 for _ in run) == l)
 
 
-def up(p: Sequence[int], move: BoxMove) -> Parts:
-    """Move one box from row move.k2 to row move.k1."""
+def _moved(p: Sequence[int], move: BoxMove, sign: int) -> Parts:
+    """p with sign added to row move.k1 and taken from row move.k2."""
     parts = as_partition(p)
     if move.k2 > len(parts):
         raise NotAPartition(f"index {move.k2} out of range for {parts}")
     q = list(parts)
-    q[move.k1 - 1] += 1
-    q[move.k2 - 1] -= 1
+    q[move.k1 - 1] += sign
+    q[move.k2 - 1] -= sign
     return as_partition(q)
+
+
+def up(p: Sequence[int], move: BoxMove) -> Parts:
+    """Move one box from row move.k2 to row move.k1."""
+    return _moved(p, move, 1)
 
 
 def down(p: Sequence[int], move: BoxMove) -> Parts:
     """Move one box from row move.k1 to row move.k2; inverse of up."""
-    parts = as_partition(p)
-    if move.k2 > len(parts):
-        raise NotAPartition(f"index {move.k2} out of range for {parts}")
-    q = list(parts)
-    q[move.k1 - 1] -= 1
-    q[move.k2 - 1] += 1
-    return as_partition(q)
+    return _moved(p, move, -1)
+
+
+def _shift_largest(p: Sequence[int], l: int, d: int) -> Parts:
+    """p with d added to each of its l first (largest) entries."""
+    return tuple(v + d for v in p[:l]) + tuple(p[l:])
 
 
 def _single_move(lo: Parts, hi: Parts) -> BoxMove:
     """The unique box move with hi = up(lo), or a NoSingleMove tripwire."""
-    plus = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if y == x + 1]
-    minus = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if y == x - 1]
-    stray = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if abs(y - x) > 1]
-    if stray or len(plus) != 1 or len(minus) != 1 or plus[0] >= minus[0]:
+    # the pair must differ at exactly two positions, by +1 and then by -1
+    moved = [(t, y - x) for t, (x, y) in enumerate(zip(lo, hi), 1) if x != y]
+    if [d for _, d in moved] != [1, -1]:
         raise NoSingleMove(f"{hi} is not a single raised box away from {lo}")
-    return BoxMove(plus[0], minus[0])
+    return BoxMove(moved[0][0], moved[1][0])
 
 
 def gap(p: Sequence[int], k: int) -> int | float:

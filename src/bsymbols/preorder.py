@@ -28,7 +28,7 @@ from ._util import GeneratedPreorder, generated_preorder
 from .adjacency import adjacency_move
 from .errors import NotAPartition, NotSympartition, WitnessInvalid
 from .families import enumerate_bipartitions, family_table
-from .partitions import BoxMove, Parts, _single_move, dominance_leq
+from .partitions import BoxMove, Parts, _shift_largest, _single_move, dominance_leq
 from .symbols import Bipartition, _rank_kappas, from_sympartition, kappa
 
 
@@ -47,11 +47,6 @@ def _is_increment(base: Parts, target: Parts, l: int) -> bool:
             return False
         total += d
     return total == l
-
-
-def _truncated(base: Parts, l: int) -> Parts:
-    """base with its l largest entries incremented; still sorted."""
-    return tuple(v + 1 if t < l else v for t, v in enumerate(base))
 
 
 def induction_targets(nu: Bipartition, l: int, b: int) -> Set[Bipartition]:
@@ -78,7 +73,7 @@ def truncated_targets(nu: Bipartition, l: int, b: int) -> Set[Bipartition]:
         raise ValueError("weight b must be >= 0")
     n = nu.rank + l
     table = family_table(n, b)
-    i = table.index.get(_truncated(kappa(nu, b, n).entries, l))
+    i = table.index.get(_shift_largest(kappa(nu, b, n).entries, l, 1))
     return set() if i is None else set(table.families[i].members)
 
 
@@ -91,7 +86,7 @@ def witness_is_valid(w: InductionWitness, a: Bipartition, c: Bipartition, b: int
     x, y = (a, c) if not w.transposed else (c.transpose(), a.transpose())
     return _is_increment(base, kappa(x, b, n).entries, w.l) and kappa(
         y, b, n
-    ).entries == _truncated(base, w.l)
+    ).entries == _shift_largest(base, w.l, 1)
 
 
 def _build_witness(
@@ -108,7 +103,7 @@ def _build_witness(
     else:
         lo, hi = _rank_kappas(c.transpose(), a.transpose(), b)
         l, transposed = _single_move(lo, hi).k1, True
-    core = tuple(v - 1 if t < l else v for t, v in enumerate(hi))
+    core = _shift_largest(hi, l, -1)
     n = a.rank
     try:
         return InductionWitness(from_sympartition(core, b, n, n - l), l, transposed)

@@ -12,8 +12,10 @@ and kappa is the multiset of all 2N+b row entries sorted decreasingly.
 Equality of kappa vectors cuts out the families, and their dominance order
 is the order studied by the rest of the package.  The a-function is the
 weighted sum n_stat(kappa) normalized so that the empty bipartition gets 0.
-from_sympartition inverts kappa: the value counts of a sympartition fix its
-symbol rows up to which row takes each free singleton.
+The kappa fiber is one private generator: it reads the value counts of a
+sympartition once, which fix its symbol rows up to which row takes each
+free singleton, and yields every preimage, the canonical one first.
+from_sympartition takes that first preimage and family_members all of them.
 """
 
 from __future__ import annotations
@@ -167,29 +169,29 @@ def is_sympartition(p: Sequence[int], b: int, N: int, n: int) -> bool:
     return _profile(p, b, N, n) is not None
 
 
-def _row_splits(counts: dict[int, int], b: int, N: int) -> Iterator[tuple[Parts, Parts]]:
-    """All ways to write a sympartition, given by its profile, as row1 + row2 of a symbol.
+def _fiber(p: Sequence[int], b: int, N: int, n: int) -> Iterator[Bipartition]:
+    """Every bipartition of n whose kappa at (b, N) is p, the canonical one first.
 
-    Every doubled value contributes one copy to each row; the staircase
-    values 0..b-1 sit at the bottom of row1; the remaining singletons of
-    value >= b are split between the top of row1 and row2, which is the
-    only freedom.  Yields (row1, row2) with both rows strictly decreasing,
-    first the split keeping the largest free singletons in row1.
+    The profile of p fixes the symbol rows up to one freedom: every doubled
+    value puts one copy in each row, the staircase values 0..b-1 sit at the
+    bottom of row1, and the remaining singletons of value >= b are split
+    between the top of row1 and row2.  The first split keeps the largest
+    free singletons in row1.
     """
+    counts = _profile(p, b, N, n)
+    if counts is None:
+        raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
     values = sorted(counts, reverse=True)
     free = [v for v in reversed(values) if counts[v] == 1 and v >= b]
     to_row2 = len(counts) - N - b  # row2 is every doubled value and these free singletons
     assert 0 <= to_row2 <= len(free)
     for low in map(set, combinations(free, to_row2)):
-        row1 = tuple(v for v in values if v not in low)
-        row2 = tuple(v for v in values if counts[v] == 2 or v in low)
-        yield row1, row2
-
-
-def _rows_to_bipartition(row1: Parts, row2: Parts, b: int, N: int) -> Bipartition:
-    first = normalize([v + j - (N + b) for j, v in enumerate(row1, 1)])
-    second = normalize([v + j - N for j, v in enumerate(row2, 1)])
-    return Bipartition(first, second)
+        row1 = [v for v in values if v not in low]
+        row2 = [v for v in values if counts[v] == 2 or v in low]
+        # part j of a strictly decreasing row of length c is its entry j plus j - c
+        first = normalize([v + j - (N + b) for j, v in enumerate(row1, 1)])
+        second = normalize([v + j - N for j, v in enumerate(row2, 1)])
+        yield Bipartition(first, second)
 
 
 def from_sympartition(p: Sequence[int], b: int, N: int, n: int) -> Bipartition:
@@ -198,15 +200,9 @@ def from_sympartition(p: Sequence[int], b: int, N: int, n: int) -> Bipartition:
     The canonical choice keeps the largest free singletons in row1, so the
     result is deterministic; the full fiber is family_members.
     """
-    counts = _profile(p, b, N, n)
-    if counts is None:
-        raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
-    return _rows_to_bipartition(*next(_row_splits(counts, b, N)), b, N)
+    return next(_fiber(p, b, N, n))
 
 
 def family_members(p: Sequence[int], b: int, N: int, n: int) -> Set[Bipartition]:
     """The whole family: every bipartition of n with kappa equal to p."""
-    counts = _profile(p, b, N, n)
-    if counts is None:
-        raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
-    return {_rows_to_bipartition(r1, r2, b, N) for r1, r2 in _row_splits(counts, b, N)}
+    return set(_fiber(p, b, N, n))

@@ -19,6 +19,7 @@ from .errors import NoSingleMove, NotAdjacent, SizeMismatch
 from .partitions import (
     BoxMove,
     Parts,
+    _shift_largest,
     _single_move,
     as_partition,
     dominance_leq,
@@ -61,7 +62,7 @@ def truncated_pieri_targets(p: Parts, l: int) -> Set[Parts]:
         raise ValueError("l must be >= 1")
     base = normalize(as_partition(p))
     base = padded(base, max(len(base), l))
-    return {normalize(tuple(v + 1 if t < l else v for t, v in enumerate(base)))}
+    return {normalize(_shift_largest(base, l, 1))}
 
 
 class TypeAOracle(GeneratedPreorder):

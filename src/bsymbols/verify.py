@@ -9,9 +9,9 @@ oracle.  Each suite is a generator of checks under one runner, which
 counts them, stops at the first counterexample and returns (ok, detail):
 "<count> <unit>", or the counterexample's deterministic text.  The three
 rank-wide comparisons (the oracle, N-stability and type A) compare whole
-bitset rows from adjacency.dominance_rows, not pairs.  The round trip reads
-each vector's profile once, and each witness is built from the table's
-kappas and checked once.
+bitset rows from adjacency.dominance_rows, not pairs.  The round trip
+checks from_sympartition itself on every generated vector, and each
+witness is built from the table's kappas and checked once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from ._util import iter_bits
 from .adjacency import _poset, dominance_rows, frame, verify_double_break
-from .errors import NotAPartition, PreconditionViolated
+from .errors import NotAPartition, NotSympartition, PreconditionViolated
 from .families import enumerate_bipartitions, family_table
 from .partitions import (
     BoxMove,
@@ -44,11 +44,9 @@ from .preorder import _build_witness, preceq_oracle, truncated_targets, witness_
 from .symbols import (
     EMPTY,
     Bipartition,
-    _profile,
-    _row_splits,
-    _rows_to_bipartition,
     a_value,
     f_stat,
+    from_sympartition,
     is_sympartition,
     kappa,
     min_admissible,
@@ -260,10 +258,11 @@ def suite_roundtrip(max_n: int, b_list: tuple[int, ...]):
             continue
         for n in range(0, 31 - base):
             for p in sympartitions_by_definition(b, N, n):
-                counts = _profile(p, b, N, n)
-                if counts is None:  # is_sympartition is False
+                try:
+                    bp = from_sympartition(p, b, N, n)
+                except NotSympartition:  # is_sympartition is False
                     yield f"generator/predicate disagree at {p} ({b},{N},{n})"
-                bp = _rows_to_bipartition(*next(_row_splits(counts, b, N)), b, N)
+                    continue
                 if bp.rank != n or min_admissible(bp) > N:
                     yield f"bad preimage {bp.text()} for {p} ({b},{N},{n})"
                 if kappa(bp, b, N).entries != p:

@@ -1,11 +1,14 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bsymbols.errors import NotAPartition, SizeMismatch
+from bsymbols.errors import NoSingleMove, NotAPartition, SizeMismatch
+from bsymbols.families import family_table
 from bsymbols.partitions import (
     BoxMove,
+    _single_move,
     as_partition,
     break_points,
     dominance_leq,
@@ -15,6 +18,7 @@ from bsymbols.partitions import (
     gap,
     normalize,
     overlap_count,
+    padded,
     parse_partition,
     partitions_of,
     size,
@@ -130,6 +134,41 @@ def test_up_strictly_raises_dominance():
                         continue
                     assert size(q) == size(p)
                     assert dominance_lt(p, q)
+
+
+def single_move_three_passes(lo, hi):
+    """The three-pass definition of _single_move, kept as the reference."""
+    plus = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if y == x + 1]
+    minus = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if y == x - 1]
+    stray = [t for t, (x, y) in enumerate(zip(lo, hi), 1) if abs(y - x) > 1]
+    if stray or len(plus) != 1 or len(minus) != 1 or plus[0] >= minus[0]:
+        raise NoSingleMove(f"{hi} is not a single raised box away from {lo}")
+    return BoxMove(plus[0], minus[0])
+
+
+def move_or_error(extract, lo, hi):
+    try:
+        return extract(lo, hi)
+    except NoSingleMove as exc:
+        return str(exc)
+
+
+def test_single_move_matches_the_three_pass_definition():
+    pairs = [
+        (padded(p, n), padded(q, n))
+        for n in range(9)
+        for p, q in product(partitions_of(n), repeat=2)
+    ]
+    for n in range(6):
+        for b in range(n + 2):
+            kappas = [fam.kappa.entries for fam in family_table(n, b).families]
+            pairs += product(kappas, repeat=2)
+    found = []
+    for lo, hi in pairs:
+        expected = move_or_error(single_move_three_passes, lo, hi)
+        assert move_or_error(_single_move, lo, hi) == expected, (lo, hi)
+        found.append(isinstance(expected, BoxMove))
+    assert 0 < sum(found) < len(found)
 
 
 def test_gap_examples():

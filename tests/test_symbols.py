@@ -3,9 +3,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from bsymbols.errors import NotAdmissible, NotAPartition, NotSympartition
+from bsymbols.errors import NoSingleMove, NotAdmissible, NotAPartition, NotSympartition
 from bsymbols.families import enumerate_bipartitions
-from bsymbols.partitions import partitions_of, size
+from bsymbols.partitions import BoxMove, _single_move, down, partitions_of, size, up
 from bsymbols.symbols import (
     EMPTY,
     Bipartition,
@@ -332,4 +332,33 @@ def test_error_paths_keep_type_and_message():
     assert error_text(is_sympartition, (1, -1, 0), 1, 1, 0) == (
         NotAPartition,
         "not weakly decreasing: (1, -1, 0)",
+    )
+    for move in (up, down):
+        assert error_text(move, (2, 1), BoxMove(1, 3)) == (
+            NotAPartition,
+            "index 3 out of range for (2, 1)",
+        )
+    assert error_text(up, (2, 2, 1), BoxMove(2, 3)) == (
+        NotAPartition,
+        "not weakly decreasing: (2, 3, 0)",
+    )
+    assert error_text(up, (1, 0), BoxMove(1, 2)) == (NotAPartition, "negative part in (2, -1)")
+    assert error_text(down, (2, 1), BoxMove(1, 2)) == (
+        NotAPartition,
+        "not weakly decreasing: (1, 2)",
+    )
+    assert error_text(down, (1, 1, 0), BoxMove(2, 3)) == (
+        NotAPartition,
+        "not weakly decreasing: (1, 0, 1)",
+    )
+    not_sympartition = (NotSympartition, "(3, 2, 1) is not a (1,1,5)-sympartition")
+    assert error_text(from_sympartition, (3, 2, 1), 1, 1, 5) == not_sympartition
+    assert error_text(family_members, (3, 2, 1), 1, 1, 5) == not_sympartition
+    assert error_text(from_sympartition, [3, 2, 1], 1, 1, 5) == not_sympartition
+    assert error_text(family_members, (1, 1), -1, 0, 0) == (ValueError, "b, N, n must all be >= 0")
+    not_one_box = "(1, 1) is not a single raised box away from (2, 0)"
+    assert error_text(_single_move, (2, 0), (1, 1)) == (NoSingleMove, not_one_box)
+    assert error_text(_single_move, (3, 0, 0), (1, 1, 1)) == (
+        NoSingleMove,
+        "(1, 1, 1) is not a single raised box away from (3, 0, 0)",
     )

@@ -6,10 +6,11 @@ import pytest
 
 from bsymbols import cli, preorder, verify
 from bsymbols.adjacency import dominance_rows
+from bsymbols.errors import NotSympartition
 from bsymbols.families import enumerate_bipartitions
 from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of
 from bsymbols.preorder import _build_witness, witness_is_valid
-from bsymbols.symbols import Bipartition, _profile, _row_splits, f_stat, is_sympartition, kappa
+from bsymbols.symbols import Bipartition, f_stat, from_sympartition, is_sympartition, kappa
 from bsymbols.typea import a_value_typeA
 from bsymbols.verify import run_suites, sympartitions_by_definition
 
@@ -144,16 +145,22 @@ def witness_l_off_by_one(*args):
     return w._replace(l=w.l + 1)
 
 
-def profile_rejects(vector, b, N, n):
-    """_profile, but None (no sympartition) for this one vector at (b, N, n)."""
-    return lambda *args: None if args == (vector, b, N, n) else _profile(*args)
-
-
-def row_splits_replaced(counts, b, N, rows):
-    """_row_splits, but first the split `rows` for the profile `counts` at (b, N)."""
+def preimage_rejects(vector, b, N, n):
+    """from_sympartition, but NotSympartition for this one vector at (b, N, n)."""
 
     def wrong(*args):
-        return iter([rows]) if args == (counts, b, N) else _row_splits(*args)
+        if args == (vector, b, N, n):
+            raise NotSympartition(f"{vector} rejected")
+        return from_sympartition(*args)
+
+    return wrong
+
+
+def preimage_replaced(vector, b, N, n, text):
+    """from_sympartition, but the bipartition `text` for this one vector at (b, N, n)."""
+
+    def wrong(*args):
+        return Bipartition.parse(text) if args == (vector, b, N, n) else from_sympartition(*args)
 
     return wrong
 
@@ -234,27 +241,26 @@ def move_k1_off_by_one(lo, hi):
             "type A a-value wrong at (2, 1)",
         ),
         (
-            "_profile",
-            profile_rejects((1, 1, 0), 1, 1, 1),
+            "from_sympartition",
+            preimage_rejects((1, 1, 0), 1, 1, 1),
             verify.suite_roundtrip,
             0,
             (),
             "generator/predicate disagree at (1, 1, 0) (1,1,1)",
         ),
-        # the profile of (1, 1, 0) at (b, N) = (1, 1) splits as (1, 0) + (1,), the rows of -|1;
-        # the rows (1, 0) + (0,) are those of -|-
+        # the preimage of (1, 1, 0) at (b, N) = (1, 1) is -|1; -|- has the wrong rank
         (
-            "_row_splits",
-            row_splits_replaced({1: 2, 0: 1}, 1, 1, ((1, 0), (0,))),
+            "from_sympartition",
+            preimage_replaced((1, 1, 0), 1, 1, 1, "-|-"),
             verify.suite_roundtrip,
             0,
             (),
             "bad preimage -|- for (1, 1, 0) (1,1,1)",
         ),
-        # (2, 0) + (0,) are the rows of 1|-, which has the right rank but kappa (2, 0, 0)
+        # 1|- has the right rank but kappa (2, 0, 0)
         (
-            "_row_splits",
-            row_splits_replaced({1: 2, 0: 1}, 1, 1, ((2, 0), (0,))),
+            "from_sympartition",
+            preimage_replaced((1, 1, 0), 1, 1, 1, "1|-"),
             verify.suite_roundtrip,
             0,
             (),
