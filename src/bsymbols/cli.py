@@ -10,7 +10,6 @@ NoSingleMove or WitnessInvalid).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .adjacency import saturated_chain
@@ -41,6 +40,12 @@ def weight_list(text: str) -> tuple[int, ...]:
     return tuple(sorted({nonnegative_int(v) for v in text.split(",")}))
 
 
+def _print_json(doc: dict) -> None:
+    import json  # only --format json needs it; text output keeps start-up lean
+
+    print(json.dumps(doc, indent=2))
+
+
 def _record(s: Symbol, k: Kappa) -> dict:
     return {
         "b": s.b,
@@ -56,7 +61,7 @@ def cmd_symbol(args: argparse.Namespace) -> int:
     s = symbol(bp, args.b, args.N)
     k = kappa(bp, args.b, args.N)
     if args.format == "json":
-        print(json.dumps(_record(s, k), indent=2))
+        _print_json(_record(s, k))
     else:
         print(f"b: {s.b}")
         print(f"N: {s.N}")
@@ -70,7 +75,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     bp = Bipartition.parse(args.bipartition)
     k = kappa(bp, args.b, args.N)
     if args.format == "json":
-        print(json.dumps(_record(symbol(bp, args.b, args.N), k), indent=2))
+        _print_json(_record(symbol(bp, args.b, args.N), k))
     else:
         print(format_partition(k.entries))
     return 0
@@ -92,7 +97,7 @@ def cmd_families(args: argparse.Namespace) -> int:
                 for f in table.families
             ],
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         for f in table.families:
             members = ";".join(m.text() for m in f.members)
@@ -157,7 +162,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
                 for t, (w, move) in enumerate(steps)
             ],
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         for x, kx, (w, move) in zip(chain, kappas, steps):
             if move is None:

@@ -10,7 +10,6 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -38,13 +37,12 @@ class Family(NamedTuple):
     a: int
 
 
-@dataclass(frozen=True)
-class FamilyTable:
+class FamilyTable(NamedTuple):
     n: int
     b: int
     N: int
     families: tuple[Family, ...]  # sorted by decreasing kappa
-    index: dict[Parts, int] = field(compare=False, repr=False)  # kappa entries -> position
+    index: dict[Parts, int]  # kappa entries -> position
 
 
 @lru_cache(maxsize=None)

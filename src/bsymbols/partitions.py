@@ -12,27 +12,30 @@ the diagram are 0 and entries above the first row are +infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from operator import ge
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import NoSingleMove, NotAPartition, SizeMismatch
 
 Parts = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class BoxMove:
-    """A single box moved from row k2 up to row k1 (1-based, k1 < k2)."""
-
+class _BoxMoveFields(NamedTuple):
     k1: int
     k2: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k1 < self.k2:
-            raise ValueError(f"box move needs 1 <= k1 < k2, got ({self.k1}, {self.k2})")
+
+class BoxMove(_BoxMoveFields):
+    """A single box moved from row k2 up to row k1 (1-based, k1 < k2)."""
+
+    __slots__ = ()
+
+    def __new__(cls, k1: int, k2: int) -> "BoxMove":
+        if not 1 <= k1 < k2:
+            raise ValueError(f"box move needs 1 <= k1 < k2, got ({k1}, {k2})")
+        return super().__new__(cls, k1, k2)
 
     def __str__(self) -> str:
         return f"Up({self.k1},{self.k2})"

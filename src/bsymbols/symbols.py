@@ -176,7 +176,10 @@ def _fiber(p: Sequence[int], b: int, N: int, n: int) -> Iterator[Bipartition]:
     value puts one copy in each row, the staircase values 0..b-1 sit at the
     bottom of row1, and the remaining singletons of value >= b are split
     between the top of row1 and row2.  The first split keeps the largest
-    free singletons in row1.
+    free singletons in row1.  Each split walks the values once, largest
+    first, and appends each value's part to row1, row2 or both: in a
+    strictly decreasing row, an entry v with e entries below it has part
+    v - e, and the parts 0 at the bottom of a row are left out.
     """
     counts = _profile(p, b, N, n)
     if counts is None:
@@ -185,13 +188,29 @@ def _fiber(p: Sequence[int], b: int, N: int, n: int) -> Iterator[Bipartition]:
     free = [v for v in reversed(values) if counts[v] == 1 and v >= b]
     to_row2 = len(counts) - N - b  # row2 is every doubled value and these free singletons
     assert 0 <= to_row2 <= len(free)
-    for low in map(set, combinations(free, to_row2)):
-        row1 = [v for v in values if v not in low]
-        row2 = [v for v in values if counts[v] == 2 or v in low]
-        # part j of a strictly decreasing row of length c is its entry j plus j - c
-        first = normalize([v + j - (N + b) for j, v in enumerate(row1, 1)])
-        second = normalize([v + j - N for j, v in enumerate(row2, 1)])
-        yield Bipartition(first, second)
+    for low in combinations(free, to_row2):
+        first: list[int] = []
+        second: list[int] = []
+        below1, below2 = N + b - 1, N - 1  # entries below the next one of each row
+        k = to_row2 - 1  # low[k] is the largest free singleton row2 still takes
+        for v in values:
+            if counts[v] == 2:
+                if v > below1:
+                    first.append(v - below1)
+                if v > below2:
+                    second.append(v - below2)
+                below1 -= 1
+                below2 -= 1
+            elif k >= 0 and v == low[k]:
+                if v > below2:
+                    second.append(v - below2)
+                below2 -= 1
+                k -= 1
+            else:
+                if v > below1:
+                    first.append(v - below1)
+                below1 -= 1
+        yield Bipartition(tuple(first), tuple(second))
 
 
 def from_sympartition(p: Sequence[int], b: int, N: int, n: int) -> Bipartition:

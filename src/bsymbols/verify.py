@@ -10,8 +10,9 @@ counts them, stops at the first counterexample and returns (ok, detail):
 "<count> <unit>", or the counterexample's deterministic text.  The three
 rank-wide comparisons (the oracle, N-stability and type A) compare whole
 bitset rows from adjacency.dominance_rows, not pairs.  The round trip
-checks from_sympartition itself on every generated vector, and each
-witness is built from the table's kappas and checked once.
+checks from_sympartition itself on every generated vector; one search per
+(b, N) generates the vectors of all its ranks at once, read rank by rank.
+Each witness is built from the table's kappas and checked once.
 """
 
 from __future__ import annotations
@@ -64,18 +65,30 @@ class SuiteResult(NamedTuple):
 def sympartitions_by_definition(b: int, N: int, n: int) -> Iterator[Parts]:
     """All (b,N,n)-sympartitions in padded form, built from the definition.
 
-    Generates every weakly decreasing vector of length 2N+b and total
-    f(b,N,n) whose values repeat at most twice, with at most N repeated
-    values, containing every value below b: values come largest first, a
-    branch stops once it skips one below b and keeps a slot for each still
-    to come.  Independent of the symbol machinery, so it can serve as the
-    oracle for round-trip checks.
+    The one-rank case of _sympartitions_by_rank; independent of the symbol
+    machinery, so it can serve as the oracle for round-trip checks.
+    """
+    return iter(_sympartitions_by_rank(b, N, n, n)[0])
+
+
+def _sympartitions_by_rank(b: int, N: int, lo: int, hi: int) -> list[list[Parts]]:
+    """The (b,N,n)-sympartitions of every rank lo <= n <= hi from one search.
+
+    Generates every weakly decreasing vector of length 2N+b whose values
+    repeat at most twice, with at most N repeated values, containing every
+    value below b, and whose total is f(b,N,n) for some n in the range:
+    values come largest first, a branch stops once it skips one below b,
+    keeps a slot for each still to come, and is cut when no total in
+    [f(b,N,lo), f(b,N,hi)] can still be reached.  Bucket n - lo holds the
+    rank-n vectors in the order of the search, which is the order of a
+    search for that rank alone.
     """
 
-    def rec(slots: int, top: int, total: int, doubles_left: int, acc: list[int]) -> Iterator[Parts]:
+    def rec(slots: int, top: int, total: int, doubles_left: int, acc: list[int]) -> None:
+        # total is what the vector still lacks to reach f(b, N, hi)
         if slots == 0:
-            if total == 0:
-                yield tuple(acc)
+            if total <= span:
+                buckets[span - total].append(tuple(acc))
             return
         # (multiplicity, slots left)
         moves = ((1, slots - 1),)
@@ -91,19 +104,20 @@ def sympartitions_by_definition(b: int, N: int, n: int) -> Iterator[Parts]:
                     continue
                 rest_total = total - mult * v
                 low = least[rest_slots]
-                if not low <= rest_total <= rest_slots * (v - 1) - low:
+                if not low <= rest_total <= rest_slots * (v - 1) - low + span:
                     continue
                 acc.extend([v] * mult)
-                yield from rec(
-                    rest_slots, v - 1, rest_total, doubles_left - (mult == 2), acc
-                )
+                rec(rest_slots, v - 1, rest_total, doubles_left - (mult == 2), acc)
                 del acc[-mult:]
 
     # least[s] = q(q-1+r) is the least sum of s = 2q+r values each used at
     # most twice; below a cap t their greatest is s*t - least[s]
     least = [s // 2 * (s // 2 - 1 + s % 2) for s in range(2 * N + b)]
-    target = f_stat(b, N, n)
-    return rec(2 * N + b, target, target, N, [])
+    span = hi - lo
+    buckets: list[list[Parts]] = [[] for _ in range(span + 1)]
+    target = f_stat(b, N, hi)
+    rec(2 * N + b, target, target, N, [])
+    return buckets
 
 
 def _checks(unit: str):
@@ -256,8 +270,8 @@ def suite_roundtrip(max_n: int, b_list: tuple[int, ...]):
         base = f_stat(b, N, 0)
         if base > 30:
             continue
-        for n in range(0, 31 - base):
-            for p in sympartitions_by_definition(b, N, n):
+        for n, bucket in enumerate(_sympartitions_by_rank(b, N, 0, 30 - base)):
+            for p in bucket:
                 try:
                     bp = from_sympartition(p, b, N, n)
                 except NotSympartition:  # is_sympartition is False

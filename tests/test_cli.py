@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -358,3 +362,20 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def test_import_loads_neither_dataclasses_nor_json():
+    # every CLI process pays for what `import bsymbols.cli` loads; json is
+    # imported only when --format json asks for it
+    probe = (
+        "import sys; before = set(sys.modules); import bsymbols.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    added = set(out.split())
+    assert "bsymbols.verify" in added
+    assert not added & {"dataclasses", "json"}

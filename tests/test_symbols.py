@@ -1,14 +1,16 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bsymbols.errors import NoSingleMove, NotAdmissible, NotAPartition, NotSympartition
-from bsymbols.families import enumerate_bipartitions
-from bsymbols.partitions import BoxMove, _single_move, down, partitions_of, size, up
+from bsymbols.families import enumerate_bipartitions, family_table
+from bsymbols.partitions import BoxMove, _single_move, down, normalize, partitions_of, size, up
 from bsymbols.symbols import (
     EMPTY,
     Bipartition,
+    _fiber,
     _profile,
     a_value,
     bipartition,
@@ -21,6 +23,7 @@ from bsymbols.symbols import (
     n_stat,
     symbol,
 )
+from bsymbols.verify import _sympartitions_by_rank
 
 # the ten bipartitions of 3 with their symbols and kappas at b=1, N=3
 B3_TABLE = [
@@ -307,6 +310,45 @@ def test_profile_matches_the_padded_counter_definition():
                             assert _profile(q, b, N, m) == expected, (q, b, N, m)
                             found += expected is not None
     assert found > 0
+
+
+def fiber_by_comprehensions(p, b, N, n):
+    """The fiber as it was built before the one-pass walk: row lists per split."""
+    counts = _profile(p, b, N, n)
+    values = sorted(counts, reverse=True)
+    free = [v for v in reversed(values) if counts[v] == 1 and v >= b]
+    for low in map(set, combinations(free, len(counts) - N - b)):
+        row1 = [v for v in values if v not in low]
+        row2 = [v for v in values if counts[v] == 2 or v in low]
+        first = normalize([v + j - (N + b) for j, v in enumerate(row1, 1)])
+        second = normalize([v + j - N for j, v in enumerate(row2, 1)])
+        yield Bipartition(first, second)
+
+
+def test_fiber_matches_the_comprehension_body_in_order():
+    # every vector the round-trip suite generates
+    vectors = 0
+    for N in range(7):
+        for b in range(9):
+            base = f_stat(b, N, 0)
+            if base > 30:
+                continue
+            for n, bucket in enumerate(_sympartitions_by_rank(b, N, 0, 30 - base)):
+                for p in bucket:
+                    assert list(_fiber(p, b, N, n)) == list(fiber_by_comprehensions(p, b, N, n))
+                    vectors += 1
+    assert vectors == 26128
+    # every family kappa of rank n <= 7, where fibers have several members
+    largest = 0
+    for n in range(8):
+        for b in range(n + 2):
+            for fam in family_table(n, b).families:
+                p = fam.kappa.entries
+                got = list(_fiber(p, b, n, n))
+                assert got == list(fiber_by_comprehensions(p, b, n, n)), (p, b, n)
+                assert sorted(got) == sorted(fam.members), (p, b, n)
+                largest = max(largest, len(got))
+    assert largest > 2
 
 
 def error_text(call, *args):

@@ -12,7 +12,7 @@ from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of
 from bsymbols.preorder import _build_witness, witness_is_valid
 from bsymbols.symbols import Bipartition, f_stat, from_sympartition, is_sympartition, kappa
 from bsymbols.typea import a_value_typeA
-from bsymbols.verify import run_suites, sympartitions_by_definition
+from bsymbols.verify import _sympartitions_by_rank, run_suites, sympartitions_by_definition
 
 
 def test_generator_matches_predicate_brute_force():
@@ -95,6 +95,26 @@ def test_pruned_generator_matches_unpruned_in_order():
     assert cells == 870
 
 
+def test_range_search_buckets_match_unpruned_in_order():
+    # the (b, N) of the 870 cells above, each searched once per lo over lo..36-f(b,N,0)
+    cells = 0
+    for N in range(9):
+        for b in range(37):
+            hi = 36 - f_stat(b, N, 0)
+            if hi < 0:
+                continue
+            expected = [list(unpruned_sympartitions(b, N, n)) for n in range(hi + 1)]
+            cells += hi + 1
+            for lo in (0, 1, 3):
+                if lo > hi:
+                    continue
+                buckets = _sympartitions_by_rank(b, N, lo, hi)
+                assert len(buckets) == hi - lo + 1, (b, N, lo)
+                for n, bucket in enumerate(buckets, lo):
+                    assert bucket == expected[n], (b, N, lo, n)
+    assert cells == 870
+
+
 def test_generator_yields_padded_sorted_vectors():
     for vec in sympartitions_by_definition(2, 2, 4):
         assert len(vec) == 6
@@ -152,6 +172,17 @@ def preimage_rejects(vector, b, N, n):
         if args == (vector, b, N, n):
             raise NotSympartition(f"{vector} rejected")
         return from_sympartition(*args)
+
+    return wrong
+
+
+def preimage_rejects_from_rank(b, N, least):
+    """from_sympartition, but NotSympartition for every vector at (b, N) of rank >= least."""
+
+    def wrong(p, b_, N_, n):
+        if (b_, N_) == (b, N) and n >= least:
+            raise NotSympartition(f"{p} rejected")
+        return from_sympartition(p, b_, N_, n)
 
     return wrong
 
@@ -266,6 +297,16 @@ def move_k1_off_by_one(lo, hi):
             (),
             "round trip fails at (1, 1, 0) (1,1,1)",
         ),
+        # every vector of rank >= 2 at (b, N) = (1, 2) is rejected: the first
+        # reported is the first of rank 2 in the search order
+        (
+            "from_sympartition",
+            preimage_rejects_from_rank(1, 2, 2),
+            verify.suite_roundtrip,
+            0,
+            (),
+            "generator/predicate disagree at (4, 1, 1, 0, 0) (1,2,2)",
+        ),
     ],
     ids=[
         "preceq",
@@ -278,6 +319,7 @@ def move_k1_off_by_one(lo, hi):
         "roundtrip-profile",
         "roundtrip-bad-preimage",
         "roundtrip-fails",
+        "roundtrip-first-of-rank",
     ],
 )
 def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n, b_list, detail):
