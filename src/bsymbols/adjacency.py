@@ -154,16 +154,14 @@ def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]
     return [a] + reps[1:-1] + [c]
 
 
-def verify_double_break(k2: Kappa, fr: AdjacencyFrame) -> bool:
-    """Check that a flat stretch of the upper kappa has two break points.
+def verify_double_break(fr: AdjacencyFrame) -> bool:
+    """Check that a flat stretch of the frame's upper kappa has two break points.
 
-    Requires k2 to be the frame's upper vector with every gap on
-    [i, j-1] equal to 0 or 1; under that hypothesis the count of break
-    points in [i, j-1] must be at least two for adjacent pairs.
+    Requires every gap of the upper vector on [i, j-1] to be 0 or 1; under
+    that hypothesis the count of break points in [i, j-1] must be at least
+    two for adjacent pairs.
     """
-    if k2 != fr.kappa_high:
-        raise ValueError("k2 must be the upper kappa of the frame")
-    entries = k2.entries
+    entries = fr.kappa_high.entries
     for m in range(fr.i, fr.j):
         g = gap(entries, m)
         if g is math.inf or g > 1:

@@ -14,9 +14,10 @@ every pair as an end-to-end check.  Both kinds of target are read from
 the rank's family table: induction_targets tests each family's kappa, and
 truncated_targets looks its one vector up in the table's index.
 witness_step proves one dominance step adjacent and builds the elementary
-step certifying it; callers holding the pair's kappas and move build it
-with _witness, which checks it, or with _build_witness, which leaves the
-check to them.
+step certifying it with _witness, the one witness builder, which callers
+holding the pair's kappas and move call directly.  It checks every
+witness it builds and raises WitnessInvalid on a rejected core or on a
+witness failing witness_is_valid.
 """
 
 from __future__ import annotations
@@ -89,33 +90,26 @@ def witness_is_valid(w: InductionWitness, a: Bipartition, c: Bipartition, b: int
     ).entries == _shift_largest(base, w.l, 1)
 
 
-def _build_witness(
+def _witness(
     a: Bipartition, c: Bipartition, b: int, lo: Parts, hi: Parts, move: BoxMove
 ) -> InductionWitness:
     """witness_step's construction, with the adjacency taken as given.
 
     lo and hi are kappa(a) and kappa(c) at N = rank, and hi = up(lo, move).
-    The witness is not checked; a core that is no sympartition raises
-    WitnessInvalid.
+    Raises WitnessInvalid, chained from the rejection, when the core is no
+    sympartition, and unchained when the witness fails witness_is_valid.
     """
     if lo[move.k2 - 2] != lo[move.k2 - 1]:
         l, transposed = move.k2 - 1, False
     else:
         lo, hi = _rank_kappas(c.transpose(), a.transpose(), b)
         l, transposed = _single_move(lo, hi).k1, True
-    core = _shift_largest(hi, l, -1)
     n = a.rank
     try:
-        return InductionWitness(from_sympartition(core, b, n, n - l), l, transposed)
+        nu = from_sympartition(_shift_largest(hi, l, -1), b, n, n - l)
     except (NotAPartition, NotSympartition, ValueError) as exc:
         raise WitnessInvalid(f"no witness for {a.text()} -> {c.text()}: {exc}") from exc
-
-
-def _witness(
-    a: Bipartition, c: Bipartition, b: int, lo: Parts, hi: Parts, move: BoxMove
-) -> InductionWitness:
-    """_build_witness, with a witness failing its invariants raising WitnessInvalid."""
-    w = _build_witness(a, c, b, lo, hi, move)
+    w = InductionWitness(nu, l, transposed)
     if not witness_is_valid(w, a, c, b):
         raise WitnessInvalid(f"constructed witness fails its invariants: {w}")
     return w

@@ -12,7 +12,8 @@ rank-wide comparisons (the oracle, N-stability and type A) compare whole
 bitset rows from adjacency.dominance_rows, not pairs.  The round trip
 checks from_sympartition itself on every generated vector; one search per
 (b, N) generates the vectors of all its ranks at once, read rank by rank.
-Each witness is built from the table's kappas and checked once.
+Each witness comes from preorder._witness, the one witness builder, given
+the table's kappas; its WitnessInvalid is the suite's counterexample.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from ._util import iter_bits
 from .adjacency import _poset, dominance_rows, frame, verify_double_break
-from .errors import NotAPartition, NotSympartition, PreconditionViolated
+from .errors import NotAPartition, NotSympartition, PreconditionViolated, WitnessInvalid
 from .families import enumerate_bipartitions, family_table
 from .partitions import (
     BoxMove,
@@ -41,7 +42,7 @@ from .partitions import (
     transpose,
     up,
 )
-from .preorder import _build_witness, preceq_oracle, truncated_targets, witness_is_valid
+from .preorder import _witness, preceq_oracle, truncated_targets
 from .symbols import (
     EMPTY,
     Bipartition,
@@ -62,33 +63,25 @@ class SuiteResult(NamedTuple):
     detail: str
 
 
-def sympartitions_by_definition(b: int, N: int, n: int) -> Iterator[Parts]:
-    """All (b,N,n)-sympartitions in padded form, built from the definition.
+def _sympartitions_by_rank(b: int, N: int, hi: int) -> list[list[Parts]]:
+    """The (b,N,n)-sympartitions of every rank n <= hi from one search.
 
-    The one-rank case of _sympartitions_by_rank; independent of the symbol
-    machinery, so it can serve as the oracle for round-trip checks.
-    """
-    return iter(_sympartitions_by_rank(b, N, n, n)[0])
-
-
-def _sympartitions_by_rank(b: int, N: int, lo: int, hi: int) -> list[list[Parts]]:
-    """The (b,N,n)-sympartitions of every rank lo <= n <= hi from one search.
-
-    Generates every weakly decreasing vector of length 2N+b whose values
-    repeat at most twice, with at most N repeated values, containing every
-    value below b, and whose total is f(b,N,n) for some n in the range:
-    values come largest first, a branch stops once it skips one below b,
-    keeps a slot for each still to come, and is cut when no total in
-    [f(b,N,lo), f(b,N,hi)] can still be reached.  Bucket n - lo holds the
-    rank-n vectors in the order of the search, which is the order of a
-    search for that rank alone.
+    Built from the definition, independent of the symbol machinery, so it
+    can serve as the oracle for round-trip checks.  Generates every weakly
+    decreasing vector of length 2N+b whose values repeat at most twice,
+    with at most N repeated values, containing every value below b, and
+    whose total is f(b,N,n) for some n <= hi: values come largest first,
+    a branch stops once it skips one below b, keeps a slot for each still
+    to come, and is cut when no total in [f(b,N,0), f(b,N,hi)] can still
+    be reached.  Bucket n holds the rank-n vectors in the order of the
+    search, which is the order of a search for that rank alone.
     """
 
     def rec(slots: int, top: int, total: int, doubles_left: int, acc: list[int]) -> None:
         # total is what the vector still lacks to reach f(b, N, hi)
         if slots == 0:
-            if total <= span:
-                buckets[span - total].append(tuple(acc))
+            if total <= hi:
+                buckets[hi - total].append(tuple(acc))
             return
         # (multiplicity, slots left)
         moves = ((1, slots - 1),)
@@ -104,7 +97,7 @@ def _sympartitions_by_rank(b: int, N: int, lo: int, hi: int) -> list[list[Parts]
                     continue
                 rest_total = total - mult * v
                 low = least[rest_slots]
-                if not low <= rest_total <= rest_slots * (v - 1) - low + span:
+                if not low <= rest_total <= rest_slots * (v - 1) - low + hi:
                     continue
                 acc.extend([v] * mult)
                 rec(rest_slots, v - 1, rest_total, doubles_left - (mult == 2), acc)
@@ -113,8 +106,7 @@ def _sympartitions_by_rank(b: int, N: int, lo: int, hi: int) -> list[list[Parts]
     # least[s] = q(q-1+r) is the least sum of s = 2q+r values each used at
     # most twice; below a cap t their greatest is s*t - least[s]
     least = [s // 2 * (s // 2 - 1 + s % 2) for s in range(2 * N + b)]
-    span = hi - lo
-    buckets: list[list[Parts]] = [[] for _ in range(span + 1)]
+    buckets: list[list[Parts]] = [[] for _ in range(hi + 1)]
     target = f_stat(b, N, hi)
     rec(2 * N + b, target, target, N, [])
     return buckets
@@ -270,7 +262,7 @@ def suite_roundtrip(max_n: int, b_list: tuple[int, ...]):
         base = f_stat(b, N, 0)
         if base > 30:
             continue
-        for n, bucket in enumerate(_sympartitions_by_rank(b, N, 0, 30 - base)):
+        for n, bucket in enumerate(_sympartitions_by_rank(b, N, 30 - base)):
             for p in bucket:
                 try:
                     bp = from_sympartition(p, b, N, n)
@@ -385,7 +377,7 @@ def suite_double_break(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
         checked += 1
         fr = frame(low.kappa, high.kappa)
         try:
-            ok = verify_double_break(high.kappa, fr)
+            ok = verify_double_break(fr)
         except PreconditionViolated:
             continue
         applicable += 1
@@ -399,19 +391,19 @@ def suite_double_break(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
 
 @_checks("witnesses checked")
 def suite_witness(max_n: int, b_list: tuple[int, ...]):
-    for n, b, low, high in _adjacent_family_pairs(max_n, b_list):
+    for _, b, low, high in _adjacent_family_pairs(max_n, b_list):
         lo, hi = low.kappa.entries, high.kappa.entries
         move = _single_move(lo, hi)
         case1 = lo[move.k2 - 2] != lo[move.k2 - 1]
         for a, c in product(low.members, high.members):
-            w = _build_witness(a, c, b, lo, hi, move)
+            try:
+                w = _witness(a, c, b, lo, hi, move)
+            except WitnessInvalid as exc:  # chained when the core was rejected
+                what = "core not a sympartition" if exc.__cause__ else "invalid witness"
+                yield f"{what} for {a.text()} -> {c.text()}"
+                continue
             if w.transposed == case1:
                 yield f"wrong case for {a.text()} -> {c.text()} b={b}"
-            if not witness_is_valid(w, a, c, b):
-                yield f"invalid witness for {a.text()} -> {c.text()}"
-            core = kappa(w.nu, b, n).entries
-            if not is_sympartition(core, b, n, n - w.l):
-                yield f"core not a sympartition for {a.text()} -> {c.text()}"
             yield 1
 
 

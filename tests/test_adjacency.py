@@ -210,16 +210,13 @@ def test_verify_double_break():
     hi = K((4, 3, 2, 2, 1, 0, 0))
     fr = frame(lo, hi)
     assert (fr.i, fr.j) == (1, 6)
-    assert verify_double_break(hi, fr)
+    assert verify_double_break(fr)
 
     lo2 = K((4, 3, 3, 1, 1, 0, 0))
     hi2 = K((4, 4, 2, 1, 1, 0, 0))
     fr2 = frame(lo2, hi2)
     with pytest.raises(PreconditionViolated):
-        verify_double_break(hi2, fr2)  # gap 2 inside the window
-
-    with pytest.raises(ValueError):
-        verify_double_break(hi, fr2)
+        verify_double_break(fr2)  # gap 2 inside the window
 
 
 def test_double_break_staircase_window():

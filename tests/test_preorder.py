@@ -8,6 +8,7 @@ from bsymbols.errors import NotAdjacent, RankMismatch, WitnessInvalid
 from bsymbols.families import enumerate_bipartitions, family_table
 from bsymbols.partitions import _single_move
 from bsymbols.preorder import (
+    InductionWitness,
     induction_targets,
     preceq,
     preceq_oracle,
@@ -141,8 +142,9 @@ def test_witness_case2_example():
 def test_witness_tripwire_catches_an_invalid_built_witness(monkeypatch):
     a = Bipartition.parse("2,1|-")
     c = Bipartition.parse("3|-")
-    build = preorder._build_witness
-    monkeypatch.setattr(preorder, "_build_witness", lambda *args: build(*args)._replace(l=2))
+    monkeypatch.setattr(
+        preorder, "InductionWitness", lambda nu, l, transposed: InductionWitness(nu, 2, transposed)
+    )
     with pytest.raises(WitnessInvalid, match="constructed witness fails its invariants"):
         witness_step(a, c, 1)
 

@@ -333,7 +333,7 @@ def test_fiber_matches_the_comprehension_body_in_order():
             base = f_stat(b, N, 0)
             if base > 30:
                 continue
-            for n, bucket in enumerate(_sympartitions_by_rank(b, N, 0, 30 - base)):
+            for n, bucket in enumerate(_sympartitions_by_rank(b, N, 30 - base)):
                 for p in bucket:
                     assert list(_fiber(p, b, N, n)) == list(fiber_by_comprehensions(p, b, N, n))
                     vectors += 1

@@ -5,14 +5,14 @@ from pathlib import Path
 import pytest
 
 from bsymbols import cli, preorder, verify
-from bsymbols.adjacency import dominance_rows
+from bsymbols.adjacency import dominance_rows, frame, verify_double_break
 from bsymbols.errors import NotSympartition
 from bsymbols.families import enumerate_bipartitions
-from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of
-from bsymbols.preorder import _build_witness, witness_is_valid
+from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of, up
+from bsymbols.preorder import InductionWitness, witness_is_valid
 from bsymbols.symbols import Bipartition, f_stat, from_sympartition, is_sympartition, kappa
 from bsymbols.typea import a_value_typeA
-from bsymbols.verify import _sympartitions_by_rank, run_suites, sympartitions_by_definition
+from bsymbols.verify import _sympartitions_by_rank, run_suites
 
 
 def test_generator_matches_predicate_brute_force():
@@ -29,7 +29,7 @@ def test_generator_matches_predicate_brute_force():
                 for p in partitions_of(total):
                     if len(p) <= 2 * N + b and is_sympartition(p, b, N, n):
                         expected.add(padded(p, 2 * N + b))
-                got = set(sympartitions_by_definition(b, N, n))
+                got = set(_sympartitions_by_rank(b, N, n)[n])
                 assert got == expected, (b, N, n)
 
 
@@ -83,40 +83,25 @@ def unpruned_sympartitions(b, N, n):
             yield vec
 
 
-def test_pruned_generator_matches_unpruned_in_order():
-    # every (b, N, n) of total at most 36; the round-trip suite stops at 30
-    cells = 0
-    for N in range(9):
-        for b in range(37):
-            for n in range(37 - f_stat(b, N, 0)):
-                got = list(sympartitions_by_definition(b, N, n))
-                assert got == list(unpruned_sympartitions(b, N, n)), (b, N, n)
-                cells += 1
-    assert cells == 870
-
-
 def test_range_search_buckets_match_unpruned_in_order():
-    # the (b, N) of the 870 cells above, each searched once per lo over lo..36-f(b,N,0)
+    # every (b, N, n) of total at most 36, one search per (b, N); the
+    # round-trip suite stops at 30
     cells = 0
     for N in range(9):
         for b in range(37):
             hi = 36 - f_stat(b, N, 0)
             if hi < 0:
                 continue
-            expected = [list(unpruned_sympartitions(b, N, n)) for n in range(hi + 1)]
-            cells += hi + 1
-            for lo in (0, 1, 3):
-                if lo > hi:
-                    continue
-                buckets = _sympartitions_by_rank(b, N, lo, hi)
-                assert len(buckets) == hi - lo + 1, (b, N, lo)
-                for n, bucket in enumerate(buckets, lo):
-                    assert bucket == expected[n], (b, N, lo, n)
+            buckets = _sympartitions_by_rank(b, N, hi)
+            assert len(buckets) == hi + 1, (b, N)
+            for n, bucket in enumerate(buckets):
+                assert bucket == list(unpruned_sympartitions(b, N, n)), (b, N, n)
+                cells += 1
     assert cells == 870
 
 
 def test_generator_yields_padded_sorted_vectors():
-    for vec in sympartitions_by_definition(2, 2, 4):
+    for vec in _sympartitions_by_rank(2, 2, 4)[4]:
         assert len(vec) == 6
         assert all(x >= y for x, y in zip(vec, vec[1:]))
         assert is_sympartition(vec, 2, 2, 4)
@@ -160,9 +145,8 @@ def typea_rows_flipped_at(p, q):
     return rows_flipped_at([padded(x, sum(p)) for x in ps], ps.index(p), ps.index(q))
 
 
-def witness_l_off_by_one(*args):
-    w = _build_witness(*args)
-    return w._replace(l=w.l + 1)
+def witness_l_off_by_one(nu, l, transposed):
+    return InductionWitness(nu, l + 1, transposed)
 
 
 def preimage_rejects(vector, b, N, n):
@@ -210,11 +194,29 @@ def move_k1_off_by_one(lo, hi):
     return BoxMove(move.k1 + 1, move.k2) if move.k1 + 1 < move.k2 else move
 
 
+def frame_i_off_by_one(k, k2):
+    fr = frame(k, k2)
+    return fr._replace(i=fr.i + 1)
+
+
+def frame_j_off_by_one(k, k2):
+    fr = frame(k, k2)
+    return fr._replace(j=fr.j + 1)
+
+
+def up_twice(p, move):
+    return up(up(p, move), move)
+
+
+def double_break_window_one_short(fr):
+    return verify_double_break(fr._replace(j=fr.j - 1))
+
+
 @pytest.mark.parametrize(
     "name, wrong, suite, max_n, b_list, detail",
     [
         (
-            "dominance_rows",
+            "verify.dominance_rows",
             rank_rows_flipped_at("1,1|-", "2|-", 0, 2),
             verify.suite_oracle_equivalence,
             2,
@@ -223,7 +225,7 @@ def move_k1_off_by_one(lo, hi):
         ),
         # flipped at N = n + 1 only, so the rows at N = n and N = n + 1 differ
         (
-            "dominance_rows",
+            "verify.dominance_rows",
             rank_rows_flipped_at("-|1,1", "1|1", 1, 3),
             verify.suite_dominance_stability,
             2,
@@ -231,7 +233,7 @@ def move_k1_off_by_one(lo, hi):
             "dominance depends on N at -|1,1 vs 1|1 (n=2, b=1)",
         ),
         (
-            "dominance_rows",
+            "verify.dominance_rows",
             typea_rows_flipped_at((2, 1), (1, 1, 1)),
             verify.suite_typea,
             3,
@@ -239,7 +241,7 @@ def move_k1_off_by_one(lo, hi):
             "type A oracle differs from dominance at (2, 1), (1, 1, 1)",
         ),
         (
-            "_build_witness",
+            "preorder.InductionWitness",
             witness_l_off_by_one,
             verify.suite_witness,
             2,
@@ -247,7 +249,39 @@ def move_k1_off_by_one(lo, hi):
             "invalid witness for -|1 -> 1|-",
         ),
         (
-            "_single_move",
+            "verify.frame",
+            frame_i_off_by_one,
+            verify.suite_frame,
+            2,
+            (1,),
+            "prefix/suffix equality fails for (1, 1, 0) -> (2, 0, 0)",
+        ),
+        (
+            "verify.frame",
+            frame_j_off_by_one,
+            verify.suite_frame,
+            2,
+            (1,),
+            "sandwich fails for (1, 1, 0) -> (2, 0, 0)",
+        ),
+        (
+            "verify.up",
+            up_twice,
+            verify.suite_frame,
+            2,
+            (0,),
+            "window move (1,2) escapes (2, 2, 0, 0) -> (3, 1, 0, 0)",
+        ),
+        (
+            "verify.verify_double_break",
+            double_break_window_one_short,
+            verify.suite_double_break,
+            2,
+            (1,),
+            "fewer than two break points on (2, 0, 0) frame [1,2]",
+        ),
+        (
+            "verify._single_move",
             move_k2_off_by_one,
             verify.suite_single_move,
             2,
@@ -256,7 +290,7 @@ def move_k1_off_by_one(lo, hi):
         ),
         # an illegal move inside the frame is a counterexample, not an exception
         (
-            "_single_move",
+            "verify._single_move",
             move_k1_off_by_one,
             verify.suite_single_move,
             2,
@@ -264,7 +298,7 @@ def move_k1_off_by_one(lo, hi):
             "move does not reproduce (3, 2, 1, 0, 0)",
         ),
         (
-            "a_value_typeA",
+            "verify.a_value_typeA",
             a_value_typea_wrong_once,
             verify.suite_typea,
             0,
@@ -272,7 +306,7 @@ def move_k1_off_by_one(lo, hi):
             "type A a-value wrong at (2, 1)",
         ),
         (
-            "from_sympartition",
+            "verify.from_sympartition",
             preimage_rejects((1, 1, 0), 1, 1, 1),
             verify.suite_roundtrip,
             0,
@@ -281,7 +315,7 @@ def move_k1_off_by_one(lo, hi):
         ),
         # the preimage of (1, 1, 0) at (b, N) = (1, 1) is -|1; -|- has the wrong rank
         (
-            "from_sympartition",
+            "verify.from_sympartition",
             preimage_replaced((1, 1, 0), 1, 1, 1, "-|-"),
             verify.suite_roundtrip,
             0,
@@ -290,7 +324,7 @@ def move_k1_off_by_one(lo, hi):
         ),
         # 1|- has the right rank but kappa (2, 0, 0)
         (
-            "from_sympartition",
+            "verify.from_sympartition",
             preimage_replaced((1, 1, 0), 1, 1, 1, "1|-"),
             verify.suite_roundtrip,
             0,
@@ -300,7 +334,7 @@ def move_k1_off_by_one(lo, hi):
         # every vector of rank >= 2 at (b, N) = (1, 2) is rejected: the first
         # reported is the first of rank 2 in the search order
         (
-            "from_sympartition",
+            "verify.from_sympartition",
             preimage_rejects_from_rank(1, 2, 2),
             verify.suite_roundtrip,
             0,
@@ -313,6 +347,10 @@ def move_k1_off_by_one(lo, hi):
         "dominance-stability",
         "typea-dominance",
         "witness_step",
+        "frame-prefix-suffix",
+        "frame-sandwich",
+        "frame-window",
+        "double-break",
         "single_move-k2",
         "single_move-k1",
         "a_value_typeA",
@@ -324,7 +362,7 @@ def move_k1_off_by_one(lo, hi):
 )
 def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n, b_list, detail):
     assert suite(max_n, b_list)[0] is True
-    monkeypatch.setattr(verify, name, wrong)
+    monkeypatch.setattr(f"bsymbols.{name}", wrong)
     ok, got = suite(max_n, b_list)
     assert ok is False
     assert got == detail
@@ -337,12 +375,24 @@ def test_suite_witness_checks_each_witness_once(monkeypatch):
         calls.append((a, c, b))
         return witness_is_valid(w, a, c, b)
 
-    # the suite's own check, and the one _witness would make
-    monkeypatch.setattr(verify, "witness_is_valid", counted)
     monkeypatch.setattr(preorder, "witness_is_valid", counted)
     ok, detail = verify.suite_witness(4, (0, 1, 2))
     assert (ok, detail) == (True, f"{len(calls)} witnesses checked")
     assert len(set(calls)) == len(calls) > 0
+
+
+
+def test_rejected_core_is_a_verify_failure(capsys, monkeypatch):
+    # a core the witness builder rejects (here its first at b = 1) is a
+    # counterexample of the suite, reported with exit 1, not an internal error
+    monkeypatch.setattr(preorder, "from_sympartition", preimage_rejects((1, 0, 0), 1, 1, 0))
+    code = cli.main(["verify", "--max-n", "2", "--b-list", "1"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1
+    assert "FAIL witness-soundness: core not a sympartition for -|1 -> 1|-" in lines
+    assert lines[-1] == "FAILED"
+    assert "Traceback" not in captured.err
 
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
