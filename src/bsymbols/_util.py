@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
+from .errors import RankMismatch
+from .partitions import _is_increment, _shift_largest
+
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of a nonnegative int, lowest first."""
@@ -13,46 +16,41 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def generated_preorder(n, elements_of, lower_rows, targets, classes, transpose) -> tuple[int, ...]:
+def generated_preorder(n, elements_of, vector, lower_rows, transpose) -> tuple[int, ...]:
     """Bitset rows of the preorder on elements_of(n) generated by induction steps.
 
-    Row i is the set of j with element i related to element j.  classes
-    splits elements_of(n) into tuples of mutually related elements (the
-    families, or singletons), and each row starts as its element's class.
-    For each rank k < n and l = n - k, targets(nu, l) is the pair
-    (induced, truncated) of rank-n elements reached from nu in
-    elements_of(k).  When nu is related to nu' at rank k (lower_rows(k)),
-    every induced target of nu is related to every truncated target of
-    nu', and their transposes the other way round.  One Warshall pass
-    then closes the rows under transitivity.
+    Row i is the set of j with element i related to element j, and
+    vector(x, n) is x's vector at size n.  Each row starts as the mask of
+    the rank-n elements sharing its element's vector (a family, or a
+    singleton).  For each rank k < n and l = n - k, nu in elements_of(k)
+    induces the elements whose vector adds 1 to l entries of vector(nu, n)
+    and truncates to those whose vector adds 1 to its l largest.  When nu
+    is related to nu' at rank k (lower_rows(k)), every induced target of
+    nu is related to every truncated target of nu', and their transposes
+    the other way round.  One Warshall pass then closes the rows under
+    transitivity.
     """
     elements = elements_of(n)
     index = {x: i for i, x in enumerate(elements)}
     tr = [index[transpose(x)] for x in elements]
-
-    def bits(indices) -> int:
-        out = 0
-        for i in indices:
-            out |= 1 << i
-        return out
-
-    rows = [0] * len(elements)
-    for cls in classes:
-        mask = bits(index[x] for x in cls)
-        for x in cls:
-            rows[index[x]] = mask
+    vectors = [vector(x, n) for x in elements]
+    masks: dict = {}
+    for i, v in enumerate(vectors):
+        masks[v] = masks.get(v, 0) | 1 << i
+    rows = [masks[v] for v in vectors]
     for k in range(n):
         l = n - k
-        pairs = [targets(nu, l) for nu in elements_of(k)]
-        ind_masks = [bits(index[x] for x in ind) for ind, _ in pairs]
-        trunc_masks = [bits(index[x] for x in trunc) for _, trunc in pairs]
-        for sub_row, ind in zip(lower_rows(k), ind_masks):
+        bases = [vector(nu, n) for nu in elements_of(k)]
+        trunc_masks = [masks.get(_shift_largest(base, l, 1), 0) for base in bases]
+        for sub_row, base in zip(lower_rows(k), bases):
+            # the masks are disjoint, so their sum is their union
+            ind = sum(m for v, m in masks.items() if _is_increment(base, v, l))
             union_trunc = 0
             for j in iter_bits(sub_row):
                 union_trunc |= trunc_masks[j]
             for x in iter_bits(ind):
                 rows[x] |= union_trunc
-            t_ind = bits(tr[x] for x in iter_bits(ind))
+            t_ind = sum(1 << tr[x] for x in iter_bits(ind))
             for x in iter_bits(union_trunc):
                 rows[tr[x]] |= t_ind
 
@@ -67,14 +65,19 @@ def generated_preorder(n, elements_of, lower_rows, targets, classes, transpose) 
 class GeneratedPreorder:
     """A preorder on a tuple of elements: bit j of rows[i] relates element i to element j."""
 
-    def __init__(self, elements: tuple, rows: tuple[int, ...], label: Callable[..., str]):
+    def __init__(self, n: int, elements: tuple, rows: tuple[int, ...], label: Callable[..., str]):
+        self.n = n
         self.elements = elements
         self._index = {x: i for i, x in enumerate(elements)}
         self.rows = rows
         self._label = label
 
     def holds(self, x, y) -> bool:
-        return bool(self.rows[self._index[x]] >> self._index[y] & 1)
+        try:
+            return bool(self.rows[self._index[x]] >> self._index[y] & 1)
+        except KeyError as exc:
+            label = self._label(exc.args[0])
+            raise RankMismatch(f"{label} is not an element of rank {self.n}") from None
 
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         m = len(self.elements)

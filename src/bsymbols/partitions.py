@@ -139,6 +139,17 @@ def down(p: Sequence[int], move: BoxMove) -> Parts:
     return _moved(p, move, -1)
 
 
+def _is_increment(base: Sequence[int], target: Sequence[int], l: int) -> bool:
+    """Whether target arises from base by adding 1 to l of its entries."""
+    total = 0
+    for x, y in zip(base, target):
+        d = y - x
+        if d < 0 or d > 1:
+            return False
+        total += d
+    return total == l
+
+
 def _shift_largest(p: Sequence[int], l: int, d: int) -> Parts:
     """p with d added to each of its l first (largest) entries."""
     return tuple(v + d for v in p[:l]) + tuple(p[l:])

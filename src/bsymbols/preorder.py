@@ -10,9 +10,10 @@ through transposition.  Members of one family are mutually related.
 preceq decides the relation through dominance of kappa vectors, which is
 what the order amounts to; preceq_oracle builds the relation from the
 elementary steps alone, bottom-up in rank, so the two can be compared on
-every pair as an end-to-end check.  Both kinds of target are read from
-the rank's family table: induction_targets tests each family's kappa, and
-truncated_targets looks its one vector up in the table's index.
+every pair as an end-to-end check.  The oracle gives the shared kernel
+only the kappa at N = n, from which it finds both kinds of target itself;
+induction_targets and truncated_targets name the same targets as sets of
+bipartitions, read from the rank's family table.
 witness_step proves one dominance step adjacent and builds the elementary
 step certifying it with _witness, the one witness builder, which callers
 holding the pair's kappas and move call directly.  It checks every
@@ -29,7 +30,7 @@ from ._util import GeneratedPreorder, generated_preorder
 from .adjacency import adjacency_move
 from .errors import NotAPartition, NotSympartition, WitnessInvalid
 from .families import enumerate_bipartitions, family_table
-from .partitions import BoxMove, Parts, _shift_largest, _single_move, dominance_leq
+from .partitions import BoxMove, Parts, _is_increment, _shift_largest, _single_move, dominance_leq
 from .symbols import Bipartition, _rank_kappas, from_sympartition, kappa
 
 
@@ -37,17 +38,6 @@ class InductionWitness(NamedTuple):
     nu: Bipartition
     l: int
     transposed: bool  # certificate goes through the transposed bipartitions
-
-
-def _is_increment(base: Parts, target: Parts, l: int) -> bool:
-    """Whether target arises from base by adding 1 to l of its entries."""
-    total = 0
-    for x, y in zip(base, target):
-        d = y - x
-        if d < 0 or d > 1:
-            return False
-        total += d
-    return total == l
 
 
 def induction_targets(nu: Bipartition, l: int, b: int) -> Set[Bipartition]:
@@ -137,8 +127,7 @@ class PreceqOracle(GeneratedPreorder):
     """The relation generated by the elementary steps at one rank."""
 
     def __init__(self, n: int, b: int, bipartitions: tuple[Bipartition, ...], rows: tuple[int, ...]):
-        super().__init__(bipartitions, rows, Bipartition.text)
-        self.n = n
+        super().__init__(n, bipartitions, rows, Bipartition.text)
         self.b = b
         self.bipartitions = bipartitions
 
@@ -148,9 +137,8 @@ def _oracle_rows(n: int, b: int) -> tuple[int, ...]:
     return generated_preorder(
         n,
         enumerate_bipartitions,
+        lambda x, N: kappa(x, b, N).entries,
         lambda k: _oracle_rows(k, b),
-        lambda nu, l: (induction_targets(nu, l, b), truncated_targets(nu, l, b)),
-        [f.members for f in family_table(n, b).families],
         Bipartition.transpose,
     )
 

@@ -5,13 +5,13 @@ and p already related to p' at rank k, every partition obtained from p by
 adding one box to each of l different rows sits below the one obtained
 from p' by adding a box to its l greatest rows, together with the same
 rule read through conjugation.  That preorder is the dominance order, and
-this module provides the oracle to confirm it at small rank.
+this module provides the oracle to confirm it at small rank: the shared
+generated-preorder kernel, whose vector of p is p padded to length n.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import Set
 
 from ._util import GeneratedPreorder, generated_preorder
@@ -19,6 +19,7 @@ from .errors import NoSingleMove, NotAdjacent, SizeMismatch
 from .partitions import (
     BoxMove,
     Parts,
+    _is_increment,
     _shift_largest,
     _single_move,
     as_partition,
@@ -45,15 +46,9 @@ def pieri_targets(p: Parts, l: int) -> Set[Parts]:
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    base = padded(normalize(as_partition(p)), len(normalize(as_partition(p))) + l)
-    out = set()
-    for rows in combinations(range(len(base)), l):
-        q = list(base)
-        for r in rows:
-            q[r] += 1
-        if all(x >= y for x, y in zip(q, q[1:])):
-            out.add(normalize(q))
-    return out
+    n = size(p) + l
+    base = padded(normalize(as_partition(p)), n)
+    return {q for q in partitions_of(n) if _is_increment(base, padded(q, n), l)}
 
 
 def truncated_pieri_targets(p: Parts, l: int) -> Set[Parts]:
@@ -69,12 +64,11 @@ class TypeAOracle(GeneratedPreorder):
     """The relation generated by the Pieri steps at one rank."""
 
     def __init__(self, n: int, partitions: tuple[Parts, ...], rows: tuple[int, ...]):
-        super().__init__(partitions, rows, format_partition)
-        self.n = n
+        super().__init__(n, partitions, rows, format_partition)
         self.partitions = partitions
 
     def holds(self, p: Parts, q: Parts) -> bool:
-        return super().holds(normalize(p), normalize(q))
+        return super().holds(normalize(as_partition(p)), normalize(as_partition(q)))
 
 
 @lru_cache(maxsize=None)
@@ -82,9 +76,8 @@ def _typea_rows(n: int) -> tuple[int, ...]:
     return generated_preorder(
         n,
         partitions_of,
+        padded,
         _typea_rows,
-        lambda p, l: (pieri_targets(p, l), truncated_pieri_targets(p, l)),
-        [(p,) for p in partitions_of(n)],
         transpose,
     )
 

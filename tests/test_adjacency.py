@@ -87,6 +87,22 @@ def test_dominance_rows_match_pairwise_reference(n):
             assert list(dominance_rows(vectors)) == pairwise_rows(vectors)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_asymptotic_dominance_is_concatenation_dominance(n):
+    # for b >= n, dominance of kappa at N = n is dominance of the
+    # concatenation padded(first, n) + padded(second, n), and b = n - 1 is
+    # the sharp threshold
+    bips = enumerate_bipartitions(n)
+    concatenation = dominance_rows([padded(bp.first, n) + padded(bp.second, n) for bp in bips])
+
+    def kappa_rows(b):
+        return dominance_rows([kappa(bp, b, n).entries for bp in bips])
+
+    for b in (n, n + 1, n + 2, 2 * n + 3):
+        assert kappa_rows(b) == concatenation
+    assert kappa_rows(n - 1) != concatenation
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_dominance_rows_of_padded_partitions_match_pairwise_reference(n):
     vectors = [padded(p, n) for p in partitions_of(n)]
@@ -211,6 +227,11 @@ def test_verify_double_break():
     fr = frame(lo, hi)
     assert (fr.i, fr.j) == (1, 6)
     assert verify_double_break(fr)
+
+    # gaps 1, 0, 1 on [1, 3]: one break point, at 1, is not enough
+    fr1 = frame(K((1, 1, 1, 1, 0)), K((2, 1, 1, 0, 0)))
+    assert (fr1.i, fr1.j) == (1, 4)
+    assert not verify_double_break(fr1)
 
     lo2 = K((4, 3, 3, 1, 1, 0, 0))
     hi2 = K((4, 4, 2, 1, 1, 0, 0))

@@ -1,12 +1,14 @@
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 
 from bsymbols import preorder
+from bsymbols._util import generated_preorder, iter_bits
 from bsymbols.adjacency import _poset, adjacency_move
 from bsymbols.errors import NotAdjacent, RankMismatch, WitnessInvalid
 from bsymbols.families import enumerate_bipartitions, family_table
-from bsymbols.partitions import _single_move
+from bsymbols.partitions import _single_move, normalize, padded, partitions_of, transpose
 from bsymbols.preorder import (
     InductionWitness,
     induction_targets,
@@ -25,6 +27,7 @@ from bsymbols.symbols import (
     is_sympartition,
     kappa,
 )
+from bsymbols.typea import _typea_rows, truncated_pieri_targets
 
 
 def test_induction_targets_from_empty():
@@ -184,6 +187,15 @@ def test_preceq_examples():
         preceq(EMPTY, Bipartition.parse("1|-"), 1)
 
 
+def test_oracle_rejects_an_element_of_another_rank():
+    oracle = preceq_oracle(2, 1)
+    one, two = Bipartition.parse("1|-"), Bipartition.parse("2|-")
+    with pytest.raises(RankMismatch, match=r"^1\|- is not an element of rank 2$"):
+        oracle.holds(one, two)
+    with pytest.raises(RankMismatch, match=r"^1\|- is not an element of rank 2$"):
+        oracle.holds(two, one)
+
+
 def test_oracle_rank3_examples():
     oracle = preceq_oracle(3, 1)
     lo = Bipartition.parse("-|1,1,1")
@@ -260,3 +272,103 @@ def test_table_kappas_and_move_are_witness_step_inputs():
                         assert move == adjacency_move(a, c, b)
                         checked += 1
     assert checked == 5284
+
+
+def callback_preorder(n, elements_of, lower_rows, targets, classes, transpose):
+    """The generated-preorder kernel fed with its steps as callbacks.
+
+    targets(nu, l) is the pair (induced, truncated) of rank-n element sets
+    reached from nu, and classes lists the tuples of rank-n elements that
+    start mutually related.
+    """
+    elements = elements_of(n)
+    index = {x: i for i, x in enumerate(elements)}
+    tr = [index[transpose(x)] for x in elements]
+
+    def bits(indices):
+        return sum(1 << i for i in set(indices))
+
+    rows = [0] * len(elements)
+    for cls in classes:
+        mask = bits(index[x] for x in cls)
+        for x in cls:
+            rows[index[x]] = mask
+    for k in range(n):
+        pairs = [targets(nu, n - k) for nu in elements_of(k)]
+        ind_masks = [bits(index[x] for x in ind) for ind, _ in pairs]
+        trunc_masks = [bits(index[x] for x in trunc) for _, trunc in pairs]
+        for sub_row, ind in zip(lower_rows(k), ind_masks):
+            union_trunc = 0
+            for j in iter_bits(sub_row):
+                union_trunc |= trunc_masks[j]
+            for x in iter_bits(ind):
+                rows[x] |= union_trunc
+            t_ind = bits(tr[x] for x in iter_bits(ind))
+            for x in iter_bits(union_trunc):
+                rows[tr[x]] |= t_ind
+    for k, row_k in enumerate(rows):
+        for i, row in enumerate(rows):
+            if row >> k & 1:
+                rows[i] = row | row_k
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def callback_oracle_rows(n, b):
+    return callback_preorder(
+        n,
+        enumerate_bipartitions,
+        lambda k: callback_oracle_rows(k, b),
+        lambda nu, l: (induction_targets(nu, l, b), truncated_targets(nu, l, b)),
+        [f.members for f in family_table(n, b).families],
+        Bipartition.transpose,
+    )
+
+
+def combinations_pieri_targets(p, l):
+    """Partitions adding one box to l different rows of p, row sets enumerated."""
+    base = padded(p, len(p) + l)
+    out = set()
+    for chosen in combinations(range(len(base)), l):
+        q = list(base)
+        for r in chosen:
+            q[r] += 1
+        if all(x >= y for x, y in zip(q, q[1:])):
+            out.add(normalize(q))
+    return out
+
+
+@lru_cache(maxsize=None)
+def callback_typea_rows(n):
+    return callback_preorder(
+        n,
+        partitions_of,
+        callback_typea_rows,
+        lambda p, l: (combinations_pieri_targets(p, l), truncated_pieri_targets(p, l)),
+        [(p,) for p in partitions_of(n)],
+        transpose,
+    )
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_kernel_matches_the_callback_kernel_type_b(n):
+    # the kernel finds both steps' targets from the kappas; the callback
+    # kernel reads them from the public target functions and the families
+    for b in range(n + 2):
+        assert preorder._oracle_rows(n, b) == callback_oracle_rows(n, b)
+
+
+def test_kernel_matches_the_callback_kernel_type_a():
+    for n in range(11):
+        assert _typea_rows(n) == callback_typea_rows(n)
+
+
+def test_kernel_relates_equal_vectors_that_no_step_reaches():
+    # x and y share a vector that no step from the rank-0 element e reaches,
+    # so only the equal-vector start relates them; z is e's one target
+    elements = {0: ("e",), 1: ("x", "y", "z")}
+    vectors = {"e": (0, 0), "x": (3, 3), "y": (3, 3), "z": (1, 0)}
+    rows = generated_preorder(
+        1, elements.__getitem__, lambda x, n: vectors[x], lambda k: (1,), lambda x: x
+    )
+    assert rows == (0b011, 0b011, 0b100)

@@ -1,6 +1,6 @@
 import pytest
 
-from bsymbols.errors import NotAdjacent
+from bsymbols.errors import NotAdjacent, NotAPartition, RankMismatch
 from bsymbols.partitions import BoxMove, dominance_leq, normalize, partitions_of, size, up
 from bsymbols.typea import (
     a_value_typeA,
@@ -70,6 +70,16 @@ def test_oracle_rank3_total_order():
     assert oracle.holds((2, 1), (3,))
     assert oracle.holds((1, 1, 1), (3,))
     assert not oracle.holds((3,), (2, 1))
+
+
+def test_oracle_rejects_elements_outside_its_rank():
+    oracle = preceq_typeA_oracle(3)
+    with pytest.raises(RankMismatch, match="^1 is not an element of rank 3$"):
+        oracle.holds((2, 1), (1,))
+    with pytest.raises(RankMismatch, match="^1 is not an element of rank 3$"):
+        oracle.holds((1,), (2, 1))
+    with pytest.raises(NotAPartition):
+        oracle.holds((1, 2), (3,))
 
 
 def test_oracle_rank0():
