@@ -101,11 +101,16 @@ def dominance_lt(p: Sequence[int], q: Sequence[int]) -> bool:
 
 
 def transpose(p: Sequence[int]) -> Parts:
-    """Conjugate partition, always returned in normalized form."""
-    q = normalize(as_partition(p))
-    if not q:
-        return ()
-    return tuple(sum(1 for v in q if v > i) for i in range(q[0]))
+    """Conjugate partition, always returned in normalized form.
+
+    One walk over the parts, smallest first: columns p_{i+1} + 1 to p_i
+    have length i.
+    """
+    q = as_partition(p)
+    conj: list[int] = []
+    for i in range(len(q), 0, -1):
+        conj += [i] * (q[i - 1] - len(conj))
+    return tuple(conj)
 
 
 def overlap_count(p: Sequence[int], l: int) -> int:
@@ -197,7 +202,7 @@ def partitions_of(n: int) -> tuple[Parts, ...]:
 
 def format_partition(p: Sequence[int]) -> str:
     """Comma-separated decimal parts; the empty partition renders as "-"."""
-    return ",".join(str(v) for v in p) if len(p) else "-"
+    return ",".join(map(str, p)) if len(p) else "-"
 
 
 def parse_partition(text: str) -> Parts:

@@ -16,9 +16,10 @@ induction_targets and truncated_targets name the same targets as sets of
 bipartitions, read from the rank's family table.
 witness_step proves one dominance step adjacent and builds the elementary
 step certifying it with _witness, the one witness builder, which callers
-holding the pair's kappas and move call directly.  It checks every
-witness it builds and raises WitnessInvalid on a rejected core or on a
-witness failing witness_is_valid.
+holding the pair's kappas and move call directly.  It transposes the pair
+at most once, builds the witness on the pair it certifies, and checks it
+there with _witness_holds, the predicate behind witness_is_valid; it
+raises WitnessInvalid on a rejected core or on a witness failing it.
 """
 
 from __future__ import annotations
@@ -70,11 +71,21 @@ def truncated_targets(nu: Bipartition, l: int, b: int) -> Set[Bipartition]:
 
 def witness_is_valid(w: InductionWitness, a: Bipartition, c: Bipartition, b: int) -> bool:
     """Check the two increment conditions an induction witness must satisfy."""
-    n = a.rank
-    if c.rank != n or w.l < 1 or w.nu.rank != n - w.l:
+    x, y = (c.transpose(), a.transpose()) if w.transposed else (a, c)
+    return _witness_holds(w, x, y, b)
+
+
+def _witness_holds(w: InductionWitness, x: Bipartition, y: Bipartition, b: int) -> bool:
+    """witness_is_valid on the pair w was built on: (a, c), or (c', a') when transposed.
+
+    At N = rank(x), kappa(x) must add 1 to w.l entries of kappa(w.nu) and
+    kappa(y) must add 1 to its w.l largest; all three kappas are recomputed
+    from the bipartitions.
+    """
+    n = x.rank
+    if y.rank != n or w.l < 1 or w.nu.rank != n - w.l:
         return False
     base = kappa(w.nu, b, n).entries
-    x, y = (a, c) if not w.transposed else (c.transpose(), a.transpose())
     return _is_increment(base, kappa(x, b, n).entries, w.l) and kappa(
         y, b, n
     ).entries == _shift_largest(base, w.l, 1)
@@ -86,13 +97,17 @@ def _witness(
     """witness_step's construction, with the adjacency taken as given.
 
     lo and hi are kappa(a) and kappa(c) at N = rank, and hi = up(lo, move).
+    The transposed case transposes a and c once, and the witness is checked
+    on the pair it was built on, (a, c) or (c', a'), with the predicate
+    behind witness_is_valid.
     Raises WitnessInvalid, chained from the rejection, when the core is no
     sympartition, and unchained when the witness fails witness_is_valid.
     """
     if lo[move.k2 - 2] != lo[move.k2 - 1]:
-        l, transposed = move.k2 - 1, False
+        x, y, l, transposed = a, c, move.k2 - 1, False
     else:
-        lo, hi = _rank_kappas(c.transpose(), a.transpose(), b)
+        x, y = c.transpose(), a.transpose()
+        lo, hi = _rank_kappas(x, y, b)
         l, transposed = _single_move(lo, hi).k1, True
     n = a.rank
     try:
@@ -100,7 +115,7 @@ def _witness(
     except (NotAPartition, NotSympartition, ValueError) as exc:
         raise WitnessInvalid(f"no witness for {a.text()} -> {c.text()}: {exc}") from exc
     w = InductionWitness(nu, l, transposed)
-    if not witness_is_valid(w, a, c, b):
+    if not _witness_holds(w, x, y, b):
         raise WitnessInvalid(f"constructed witness fails its invariants: {w}")
     return w
 

@@ -72,21 +72,36 @@ class Kappa(NamedTuple):
     N: int
 
 
+def _nonzero(parts: Parts) -> Parts:
+    """parts without its trailing zeros; only a part list ending in 0 is copied."""
+    return normalize(parts) if parts and not parts[-1] else parts
+
+
 def min_admissible(bp: Bipartition) -> int:
     """Smallest N whose symbol rows accommodate every nonzero part."""
-    return max(len(normalize(bp.first)), len(normalize(bp.second)))
+    return max(len(_nonzero(bp.first)), len(_nonzero(bp.second)))
+
+
+def _admitted(bp: Bipartition, b: int, N: int | None) -> tuple[Parts, Parts, int]:
+    """bp's components without trailing zeros, and N checked against the least admissible value.
+
+    N defaults to that least value.  Raises ValueError for b < 0 and
+    NotAdmissible for N below the least value.
+    """
+    if b < 0:
+        raise ValueError("weight b must be >= 0")
+    first, second = _nonzero(bp.first), _nonzero(bp.second)
+    least = max(len(first), len(second))
+    if N is None:
+        N = least
+    elif N < least:
+        raise NotAdmissible(f"N={N} is below the minimal admissible {least} for {bp.text()}")
+    return first, second, N
 
 
 def symbol(bp: Bipartition, b: int, N: int | None = None) -> Symbol:
     """The (b, N)-symbol of bp; N defaults to the minimal admissible value."""
-    if b < 0:
-        raise ValueError("weight b must be >= 0")
-    first, second = normalize(bp.first), normalize(bp.second)
-    least = max(len(first), len(second))
-    if N is None:
-        N = least
-    if N < least:
-        raise NotAdmissible(f"N={N} is below the minimal admissible {least} for {bp.text()}")
+    first, second, N = _admitted(bp, b, N)
     return Symbol(b, N, _row(second, N), _row(first, N + b))
 
 
@@ -101,8 +116,8 @@ def _row(parts: Parts, c: int) -> Parts:
 
 def kappa(bp: Bipartition, b: int, N: int | None = None) -> Kappa:
     """All 2N+b symbol entries of bp sorted decreasingly."""
-    s = symbol(bp, b, N)
-    return Kappa(tuple(sorted(s.row1 + s.row2, reverse=True)), s.b, s.N)
+    first, second, N = _admitted(bp, b, N)
+    return Kappa(tuple(sorted(_row(first, N + b) + _row(second, N), reverse=True)), b, N)
 
 
 def _rank_kappas(a: Bipartition, c: Bipartition, b: int) -> tuple[Parts, Parts]:

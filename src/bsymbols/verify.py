@@ -243,12 +243,13 @@ def suite_kappa_sympartition(max_n: int, b_list: tuple[int, ...]):
 
 @_checks("bipartitions checked")
 def suite_a_stability(max_n: int, b_list: tuple[int, ...]):
+    # every N used below is at most least + 3 <= max_n + 3
+    empty = {(b, N): n_stat(kappa(EMPTY, b, N)) for b in b_list for N in range(max_n + 4)}
     for n, b in product(range(max_n + 1), b_list):
         for bp in enumerate_bipartitions(n):
             least = min_admissible(bp)
             values = {
-                n_stat(kappa(bp, b, N)) - n_stat(kappa(EMPTY, b, N))
-                for N in range(least, least + 4)
+                n_stat(kappa(bp, b, N)) - empty[b, N] for N in range(least, least + 4)
             }
             if len(values) != 1 or values != {a_value(bp, b)}:
                 yield f"a-value depends on N at {bp.text()} b={b}"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from bsymbols import cli
+from bsymbols.preorder import InductionWitness, witness_is_valid
+from bsymbols.symbols import Bipartition
 
 
 def run(capsys, *argv):
@@ -379,3 +382,28 @@ def test_import_loads_neither_dataclasses_nor_json():
     added = set(out.split())
     assert "bsymbols.verify" in added
     assert not added & {"dataclasses", "json"}
+
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+
+
+def test_pinned_chains_replay_with_valid_witnesses(capsys):
+    # every pinned chain, rebuilt in-process: its text output matches the
+    # pin, and each step of its JSON form passes the public witness_is_valid
+    pins = json.loads(PINS.read_text())["pools"]["chain"]
+    steps = []
+    for pin in pins:
+        argv = pin["argv"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (pin["rc"], pin["sha256"])
+        code, out, _ = run(capsys, argv[0], "--format", "json", *argv[1:])
+        doc = json.loads(out)
+        assert code == 0 and [doc["chain"][0], doc["chain"][-1]] == argv[-2:]
+        for step in doc["steps"]:
+            if step["nu"] is None:
+                continue
+            w = InductionWitness(Bipartition.parse(step["nu"]), step["l"], step["transposed"])
+            a, c = Bipartition.parse(step["from"]), Bipartition.parse(step["to"])
+            assert witness_is_valid(w, a, c, doc["b"]), (argv, step)
+            steps.append(w.transposed)
+    assert (len(pins), len(steps), sum(steps)) == (96, 784, 497)

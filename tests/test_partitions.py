@@ -84,6 +84,33 @@ def test_transpose_examples():
     assert transpose((2, 1)) == (2, 1)
 
 
+def transpose_by_columns(p):
+    """The conjugate by its definition: column i + 1 counts the parts above i."""
+    q = normalize(as_partition(p))
+    if not q:
+        return ()
+    return tuple(sum(1 for v in q if v > i) for i in range(q[0]))
+
+
+def test_transpose_matches_its_definition_up_to_16():
+    checked = 0
+    for n in range(17):
+        for p in partitions_of(n):
+            for x in (p, p + (0,), p + (0, 0, 0), list(p), list(p) + [0]):
+                assert transpose(x) == transpose_by_columns(x), x
+                checked += 1
+    assert checked == 5 * sum(len(partitions_of(n)) for n in range(17))
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (2, -1), [3, 1, 2], (0, 1), [-1]])
+def test_transpose_rejects_what_its_definition_rejects(bad):
+    with pytest.raises(NotAPartition) as want:
+        transpose_by_columns(bad)
+    with pytest.raises(NotAPartition) as got:
+        transpose(bad)
+    assert str(got.value) == str(want.value)
+
+
 def test_transpose_is_order_anti_isomorphism_up_to_10():
     for s in range(11):
         ps = partitions_of(s)

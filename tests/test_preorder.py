@@ -6,7 +6,7 @@ import pytest
 from bsymbols import preorder
 from bsymbols._util import generated_preorder, iter_bits
 from bsymbols.adjacency import _poset, adjacency_move
-from bsymbols.errors import NotAdjacent, RankMismatch, WitnessInvalid
+from bsymbols.errors import NotAdjacent, NotSympartition, RankMismatch, WitnessInvalid
 from bsymbols.families import enumerate_bipartitions, family_table
 from bsymbols.partitions import _single_move, normalize, padded, partitions_of, transpose
 from bsymbols.preorder import (
@@ -150,6 +150,73 @@ def test_witness_tripwire_catches_an_invalid_built_witness(monkeypatch):
     )
     with pytest.raises(WitnessInvalid, match="constructed witness fails its invariants"):
         witness_step(a, c, 1)
+
+
+# one adjacent pair per branch of the builder, at b = 1
+PLAIN = ("2,1|-", "3|-")
+TRANSPOSED = ("1,1|1", "1|2")
+
+
+def with_nu_one_box_larger(nu, l, transposed):
+    return InductionWitness(Bipartition(nu.first + (1,), nu.second), l, transposed)
+
+
+def core_rejected(p, b, N, n):
+    raise NotSympartition(f"{p} rejected")
+
+
+@pytest.mark.parametrize("pair", [PLAIN, TRANSPOSED], ids=["plain", "transposed"])
+@pytest.mark.parametrize(
+    "attr, wrong, cause",
+    [
+        ("InductionWitness", lambda nu, l, t: InductionWitness(nu, l + 1, t), None),
+        ("InductionWitness", lambda nu, l, t: InductionWitness(nu, l - 1, t), None),
+        ("InductionWitness", with_nu_one_box_larger, None),
+        ("from_sympartition", core_rejected, NotSympartition),
+    ],
+    ids=["l-plus-one", "l-minus-one", "nu-of-wrong-rank", "core-rejected"],
+)
+def test_witness_builder_rejects_each_broken_witness(monkeypatch, pair, attr, wrong, cause):
+    # the builder's own check, on either branch, catches a wrong l, a nu of
+    # the wrong rank and a rejected core; only the last is chained
+    a, c = map(Bipartition.parse, pair)
+    assert witness_step(a, c, 1).transposed == (pair == TRANSPOSED)
+    monkeypatch.setattr(preorder, attr, wrong)
+    with pytest.raises(WitnessInvalid) as info:
+        witness_step(a, c, 1)
+    if cause is None:
+        assert str(info.value).startswith("constructed witness fails its invariants: ")
+        assert info.value.__cause__ is None
+    else:
+        assert str(info.value) == f"no witness for {pair[0]} -> {pair[1]}: " + str(
+            info.value.__cause__
+        )
+        assert type(info.value.__cause__) is cause
+
+
+def test_witness_builder_transposes_the_pair_at_most_once(monkeypatch):
+    calls = []
+    original = Bipartition.transpose
+
+    def counted(bp):
+        calls.append(bp)
+        return original(bp)
+
+    monkeypatch.setattr(Bipartition, "transpose", counted)
+    seen = set()
+    for n in range(6):
+        for b in range(n + 2):
+            families = family_table(n, b).families
+            for low, ups in zip(families, _poset(n, b).cover_up):
+                for high in (families[j] for j in ups):
+                    lo, hi = low.kappa.entries, high.kappa.entries
+                    move = _single_move(lo, hi)
+                    for a, c in product(low.members, high.members):
+                        calls.clear()
+                        w = preorder._witness(a, c, b, lo, hi, move)
+                        assert len(calls) == (2 if w.transposed else 0)
+                        seen.add(w.transposed)
+    assert seen == {False, True}
 
 
 def test_witness_rejects_non_adjacent():

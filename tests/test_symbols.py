@@ -1,12 +1,21 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bsymbols.errors import NoSingleMove, NotAdmissible, NotAPartition, NotSympartition
 from bsymbols.families import enumerate_bipartitions, family_table
-from bsymbols.partitions import BoxMove, _single_move, down, normalize, partitions_of, size, up
+from bsymbols.partitions import (
+    BoxMove,
+    _single_move,
+    down,
+    normalize,
+    padded,
+    partitions_of,
+    size,
+    up,
+)
 from bsymbols.symbols import (
     EMPTY,
     Bipartition,
@@ -351,6 +360,39 @@ def test_fiber_matches_the_comprehension_body_in_order():
     assert largest > 2
 
 
+def symbol_rows_by_definition(bp, b, N):
+    """row1_j = l1_j - j + N + b and row2_j = l2_j - j + N, each sorted increasingly."""
+    first, second = normalize(bp.first), normalize(bp.second)
+
+    def row(parts, c):
+        return tuple(sorted(padded(parts, c)[j - 1] - j + c for j in range(1, c + 1)))
+
+    return row(first, N + b), row(second, N)
+
+
+def test_kappa_is_the_sorted_symbol_rows():
+    # every bp of rank n <= 7, every b <= n + 2, default and explicit N,
+    # with and without trailing zeros in either component
+    checked = 0
+    for n in range(8):
+        for bp in enumerate_bipartitions(n):
+            least = max(len(bp.first), len(bp.second))
+            forms = (
+                bp,
+                Bipartition(bp.first + (0,), bp.second),
+                Bipartition(bp.first, bp.second + (0, 0)),
+            )
+            for x, b in product(forms, range(n + 3)):
+                assert min_admissible(x) == least
+                for N in (None, least, least + 1, n + 2):
+                    s, k = symbol(x, b, N), kappa(x, b, N)
+                    assert (s.b, s.N) == (k.b, k.N) == (b, least if N is None else N)
+                    assert (s.row1, s.row2) == symbol_rows_by_definition(x, b, s.N)
+                    assert k.entries == tuple(sorted(s.row1 + s.row2, reverse=True))
+                    checked += 1
+    assert checked == 4 * 3 * sum(len(enumerate_bipartitions(n)) * (n + 3) for n in range(8))
+
+
 def error_text(call, *args):
     with pytest.raises(Exception) as info:
         call(*args)
@@ -364,10 +406,19 @@ def test_error_paths_keep_type_and_message():
     assert error_text(kappa, bp, -1) == (ValueError, "weight b must be >= 0")
     assert error_text(symbol, bp, 2, 2) == (NotAdmissible, below)
     assert error_text(kappa, bp, 2, 2) == (NotAdmissible, below)
-    assert error_text(symbol, Bipartition((2, 0), ()), 0, 0) == (
-        NotAdmissible,
-        "N=0 is below the minimal admissible 1 for 2,0|-",
-    )
+    for call in (symbol, kappa):
+        assert error_text(call, Bipartition((2, 0), ()), 0, 0) == (
+            NotAdmissible,
+            "N=0 is below the minimal admissible 1 for 2,0|-",
+        )
+        assert error_text(call, Bipartition((5, 1, 0), (2, 2, 1, 0)), 2, 2) == (
+            NotAdmissible,
+            "N=2 is below the minimal admissible 3 for 5,1,0|2,2,1,0",
+        )
+        assert error_text(call, Bipartition((1, 0), ()), -1, 5) == (
+            ValueError,
+            "weight b must be >= 0",
+        )
     assert error_text(_profile, (1, 1), -1, 0, 0) == (ValueError, "b, N, n must all be >= 0")
     assert error_text(_profile, (1, 2), 0, 1, 0) == (NotAPartition, "not weakly decreasing: (1, 2)")
     assert error_text(_profile, (2, -1), 0, 1, 0) == (NotAPartition, "negative part in (2, -1)")

@@ -9,7 +9,7 @@ from bsymbols.adjacency import dominance_rows, frame, verify_double_break
 from bsymbols.errors import NotSympartition
 from bsymbols.families import enumerate_bipartitions
 from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of, up
-from bsymbols.preorder import InductionWitness, witness_is_valid
+from bsymbols.preorder import InductionWitness
 from bsymbols.symbols import Bipartition, f_stat, from_sympartition, is_sympartition, kappa
 from bsymbols.typea import a_value_typeA
 from bsymbols.verify import _sympartitions_by_rank, run_suites
@@ -369,13 +369,17 @@ def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n,
 
 
 def test_suite_witness_checks_each_witness_once(monkeypatch):
+    # the builder checks each witness on the pair it was built on, (a, c) or
+    # the transposed (c', a'); that pair may itself be an adjacent pair of
+    # the suite, so a check is told apart by its witness too
     calls = []
+    holds = preorder._witness_holds
 
-    def counted(w, a, c, b):
-        calls.append((a, c, b))
-        return witness_is_valid(w, a, c, b)
+    def counted(w, x, y, b):
+        calls.append((w, x, y, b))
+        return holds(w, x, y, b)
 
-    monkeypatch.setattr(preorder, "witness_is_valid", counted)
+    monkeypatch.setattr(preorder, "_witness_holds", counted)
     ok, detail = verify.suite_witness(4, (0, 1, 2))
     assert (ok, detail) == (True, f"{len(calls)} witnesses checked")
     assert len(set(calls)) == len(calls) > 0
