@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -217,6 +218,43 @@ def test_witness_builder_transposes_the_pair_at_most_once(monkeypatch):
                         assert len(calls) == (2 if w.transposed else 0)
                         seen.add(w.transposed)
     assert seen == {False, True}
+
+
+def witness_is_valid_by_definition(w, a, c, b):
+    """The two increment conditions, checked on (a, c) or on (c', a')."""
+    n = a.rank
+    if c.rank != n or w.l < 1 or w.nu.rank != n - w.l:
+        return False
+    base = kappa(w.nu, b, n).entries
+    x, y = (a, c) if not w.transposed else (c.transpose(), a.transpose())
+    target = tuple(v + 1 for v in base[: w.l]) + base[w.l :]
+    diff = [v - u for u, v in zip(base, kappa(x, b, n).entries)]
+    return set(diff) <= {0, 1} and sum(diff) == w.l and kappa(y, b, n).entries == target
+
+
+def test_witness_is_valid_matches_its_definition():
+    # each built witness, and each one broken in l, in its branch or in nu,
+    # on every adjacent member pair for n <= 5 and b <= n + 1
+    verdicts = Counter()
+    for n in range(6):
+        for b in range(n + 2):
+            families = family_table(n, b).families
+            for low, ups in zip(families, _poset(n, b).cover_up):
+                for high in (families[j] for j in ups):
+                    for a, c in product(low.members, high.members):
+                        w = witness_step(a, c, b)
+                        others = enumerate_bipartitions(w.nu.rank)[:3]
+                        for v in (
+                            w,
+                            w._replace(l=w.l + 1),
+                            w._replace(l=w.l - 1),
+                            w._replace(transposed=not w.transposed),
+                            *(w._replace(nu=nu) for nu in others if nu != w.nu),
+                        ):
+                            got = witness_is_valid(v, a, c, b)
+                            assert got == witness_is_valid_by_definition(v, a, c, b), (v, a, c, b)
+                            verdicts[got] += 1
+    assert verdicts[True] > 0 and verdicts[False] > verdicts[True]
 
 
 def test_witness_rejects_non_adjacent():
