@@ -99,9 +99,13 @@ def cmd_families(args: argparse.Namespace) -> int:
         }
         _print_json(doc)
     else:
-        for f in table.families:
-            members = ";".join(m.text() for m in f.members)
-            print(f"{format_partition(f.kappa.entries)}\t{f.a}\t{len(f.members)}\t{members}")
+        print(
+            "\n".join(
+                f"{format_partition(f.kappa.entries)}\t{f.a}\t{len(f.members)}\t"
+                + ";".join(m.text() for m in f.members)
+                for f in table.families
+            )
+        )
     return 0
 
 
@@ -110,8 +114,7 @@ def cmd_avalues(args: argparse.Namespace) -> int:
     rows = sorted(
         (m.text(), f.a) for f in table.families for m in f.members
     )
-    for text, a in rows:
-        print(f"{text}\t{a}")
+    print("\n".join(f"{text}\t{a}" for text, a in rows))
     return 0
 
 
@@ -164,16 +167,14 @@ def cmd_chain(args: argparse.Namespace) -> int:
         }
         _print_json(doc)
     else:
-        for x, kx, (w, move) in zip(chain, kappas, steps):
+        lines = [f"{x.text()}\tkappa={format_partition(kx)}" for x, kx in zip(chain, kappas)]
+        for t, (w, move) in enumerate(steps):
             if move is None:
-                print(f"{x.text()}\tkappa={format_partition(kx)}\tmove=-\twitness=family")
+                lines[t] += "\tmove=-\twitness=family"
             else:
                 flag = "yes" if w.transposed else "no"
-                print(
-                    f"{x.text()}\tkappa={format_partition(kx)}\tmove={move}"
-                    f"\tnu={w.nu.text()}\tl={w.l}\ttransposed={flag}"
-                )
-        print(f"{chain[-1].text()}\tkappa={format_partition(kappas[-1])}")
+                lines[t] += f"\tmove={move}\tnu={w.nu.text()}\tl={w.l}\ttransposed={flag}"
+        print("\n".join(lines))
     return 0
 
 
@@ -193,14 +194,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_hasse(args: argparse.Namespace) -> int:
     table = family_table(args.n, args.b)
     diagram = family_hasse(table)
-    print(f"digraph families_n{args.n}_b{args.b} {{")
-    print("  rankdir=BT;")
-    for i, node in enumerate(diagram.nodes):
-        a = table.families[i].a
-        print(f'  k{i} [label="{format_partition(node.entries)}\\na={a}"];')
-    for i, j in diagram.edges:
-        print(f"  k{i} -> k{j};")
-    print("}")
+    lines = [f"digraph families_n{args.n}_b{args.b} {{", "  rankdir=BT;"]
+    lines += (
+        f'  k{i} [label="{format_partition(node.entries)}\\na={f.a}"];'
+        for i, (node, f) in enumerate(zip(diagram.nodes, table.families))
+    )
+    lines += (f"  k{i} -> k{j};" for i, j in diagram.edges)
+    lines.append("}")
+    print("\n".join(lines))
     return 0
 
 

@@ -17,9 +17,10 @@ bipartitions, read from the rank's family table.
 witness_step proves one dominance step adjacent and builds the elementary
 step certifying it with _witness, the one witness builder, which callers
 holding the pair's kappas and move call directly.  It transposes the pair
-at most once, builds the witness on the pair it certifies, and checks it
-there with _witness_holds, the predicate behind witness_is_valid; it
-raises WitnessInvalid on a rejected core or on a witness failing it.
+at most once, computes the kappas of the pair it certifies once, and
+checks the witness on them with _witness_holds, the predicate behind
+witness_is_valid, which recomputes only kappa(nu); it raises
+WitnessInvalid on a rejected core or on a witness failing it.
 """
 
 from __future__ import annotations
@@ -71,24 +72,25 @@ def truncated_targets(nu: Bipartition, l: int, b: int) -> Set[Bipartition]:
 
 def witness_is_valid(w: InductionWitness, a: Bipartition, c: Bipartition, b: int) -> bool:
     """Check the two increment conditions an induction witness must satisfy."""
+    if c.rank != a.rank:
+        return False
     x, y = (c.transpose(), a.transpose()) if w.transposed else (a, c)
-    return _witness_holds(w, x, y, b)
+    return _witness_holds(w, *_rank_kappas(x, y, b), b)
 
 
-def _witness_holds(w: InductionWitness, x: Bipartition, y: Bipartition, b: int) -> bool:
-    """witness_is_valid on the pair w was built on: (a, c), or (c', a') when transposed.
+def _witness_holds(w: InductionWitness, kx: Parts, ky: Parts, b: int) -> bool:
+    """witness_is_valid on the kappas of the pair w certifies: (a, c), or (c', a') when transposed.
 
-    At N = rank(x), kappa(x) must add 1 to w.l entries of kappa(w.nu) and
-    kappa(y) must add 1 to its w.l largest; all three kappas are recomputed
-    from the bipartitions.
+    kx and ky are the kappas of that pair at N = n, its rank, so each has
+    2n + b entries.  kappa(x) must add 1 to w.l entries of kappa(w.nu) and
+    kappa(y) must add 1 to its w.l largest; kappa(w.nu) is recomputed from
+    the bipartition.
     """
-    n = x.rank
-    if y.rank != n or w.l < 1 or w.nu.rank != n - w.l:
+    n = (len(kx) - b) // 2
+    if w.l < 1 or w.nu.rank != n - w.l:
         return False
     base = kappa(w.nu, b, n).entries
-    return _is_increment(base, kappa(x, b, n).entries, w.l) and kappa(
-        y, b, n
-    ).entries == _shift_largest(base, w.l, 1)
+    return _is_increment(base, kx, w.l) and ky == _shift_largest(base, w.l, 1)
 
 
 def _witness(
@@ -97,25 +99,27 @@ def _witness(
     """witness_step's construction, with the adjacency taken as given.
 
     lo and hi are kappa(a) and kappa(c) at N = rank, and hi = up(lo, move).
-    The transposed case transposes a and c once, and the witness is checked
-    on the pair it was built on, (a, c) or (c', a'), with the predicate
-    behind witness_is_valid.
+    They choose the branch, and in the plain one l and the core; the check
+    never reads them.  The kappas of the pair the witness certifies, (a, c)
+    or (c', a'), are computed once from the bipartitions: the transposed
+    branch reads l and the core off them, and both branches check the
+    witness on them with the predicate behind witness_is_valid.
     Raises WitnessInvalid, chained from the rejection, when the core is no
     sympartition, and unchained when the witness fails witness_is_valid.
     """
     if lo[move.k2 - 2] != lo[move.k2 - 1]:
-        x, y, l, transposed = a, c, move.k2 - 1, False
+        kx, ky = _rank_kappas(a, c, b)
+        l, transposed = move.k2 - 1, False
     else:
-        x, y = c.transpose(), a.transpose()
-        lo, hi = _rank_kappas(x, y, b)
-        l, transposed = _single_move(lo, hi).k1, True
+        kx, ky = _rank_kappas(c.transpose(), a.transpose(), b)
+        hi, l, transposed = ky, _single_move(kx, ky).k1, True
     n = a.rank
     try:
         nu = from_sympartition(_shift_largest(hi, l, -1), b, n, n - l)
     except (NotAPartition, NotSympartition, ValueError) as exc:
         raise WitnessInvalid(f"no witness for {a.text()} -> {c.text()}: {exc}") from exc
     w = InductionWitness(nu, l, transposed)
-    if not _witness_holds(w, x, y, b):
+    if not _witness_holds(w, kx, ky, b):
         raise WitnessInvalid(f"constructed witness fails its invariants: {w}")
     return w
 

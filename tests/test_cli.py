@@ -147,7 +147,56 @@ def test_families_asymptotic(capsys):
 def test_families_rank0(capsys):
     code, out, _ = run(capsys, "families", "--n", "0", "--b", "5")
     assert code == 0
-    assert out.strip().splitlines() == ["4,3,2,1,0\t0\t1\t-|-"]
+    assert out == "4,3,2,1,0\t0\t1\t-|-\n"
+
+
+# whole stdout at ranks 0 and 1, below the pinned ranks: every line,
+# the last one included, ends in exactly one newline
+SMALL_RANK_GOLDENS = {
+    "families --n 0 --b 0": "-\t0\t1\t-|-\n",
+    "families --n 0 --b 2": "1,0\t0\t1\t-|-\n",
+    "families --n 1 --b 0": "1,0\t0\t2\t-|1;1|-\n",
+    "families --n 1 --b 2": "3,1,0,0\t0\t1\t1|-\n2,1,1,0\t2\t1\t-|1\n",
+    "avalues --n 0 --b 0": "-|-\t0\n",
+    "avalues --n 0 --b 2": "-|-\t0\n",
+    "avalues --n 1 --b 0": "-|1\t0\n1|-\t0\n",
+    "avalues --n 1 --b 2": "-|1\t2\n1|-\t0\n",
+    "hasse --n 0 --b 0": (
+        "digraph families_n0_b0 {\n"
+        "  rankdir=BT;\n"
+        '  k0 [label="-\\na=0"];\n'
+        "}\n"
+    ),
+    "hasse --n 0 --b 2": (
+        "digraph families_n0_b2 {\n"
+        "  rankdir=BT;\n"
+        '  k0 [label="1,0\\na=0"];\n'
+        "}\n"
+    ),
+    "hasse --n 1 --b 0": (
+        "digraph families_n1_b0 {\n"
+        "  rankdir=BT;\n"
+        '  k0 [label="1,0\\na=0"];\n'
+        "}\n"
+    ),
+    "hasse --n 1 --b 2": (
+        "digraph families_n1_b2 {\n"
+        "  rankdir=BT;\n"
+        '  k0 [label="3,1,0,0\\na=0"];\n'
+        '  k1 [label="2,1,1,0\\na=2"];\n'
+        "  k1 -> k0;\n"
+        "}\n"
+    ),
+    "chain -|- -|- --b 0": "-|-\tkappa=-\n",
+    "chain 1|- 1|- --b 2": "1|-\tkappa=3,1,0,0\n",
+    "chain 1|- -|1 --b 0": "1|-\tkappa=1,0\tmove=-\twitness=family\n-|1\tkappa=1,0\n",
+}
+
+
+@pytest.mark.parametrize("argv", SMALL_RANK_GOLDENS)
+def test_small_rank_goldens(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (0, SMALL_RANK_GOLDENS[argv], "")
 
 
 def test_families_json(capsys):

@@ -4,12 +4,26 @@ from itertools import combinations, product
 
 import pytest
 
-from bsymbols import preorder
+from bsymbols import preorder, symbols
 from bsymbols._util import generated_preorder, iter_bits
 from bsymbols.adjacency import _poset, adjacency_move
-from bsymbols.errors import NotAdjacent, NotSympartition, RankMismatch, WitnessInvalid
+from bsymbols.errors import (
+    NotAdjacent,
+    NotAPartition,
+    NotSympartition,
+    RankMismatch,
+    WitnessInvalid,
+)
 from bsymbols.families import enumerate_bipartitions, family_table
-from bsymbols.partitions import _single_move, normalize, padded, partitions_of, transpose
+from bsymbols.partitions import (
+    _is_increment,
+    _shift_largest,
+    _single_move,
+    normalize,
+    padded,
+    partitions_of,
+    transpose,
+)
 from bsymbols.preorder import (
     InductionWitness,
     induction_targets,
@@ -25,6 +39,7 @@ from bsymbols.symbols import (
     _rank_kappas,
     a_value,
     bipartition,
+    from_sympartition,
     is_sympartition,
     kappa,
 )
@@ -195,6 +210,23 @@ def test_witness_builder_rejects_each_broken_witness(monkeypatch, pair, attr, wr
         assert type(info.value.__cause__) is cause
 
 
+def adjacent_member_pairs(max_n):
+    """(a, c, b, lo, hi, move) for every adjacent member pair with n <= max_n and b <= n + 1.
+
+    lo and hi are the family table's kappas and move is read off them, as
+    suite_witness and chain hand them to the witness builder.
+    """
+    for n in range(max_n + 1):
+        for b in range(n + 2):
+            families = family_table(n, b).families
+            for low, ups in zip(families, _poset(n, b).cover_up):
+                for high in (families[j] for j in ups):
+                    lo, hi = low.kappa.entries, high.kappa.entries
+                    move = _single_move(lo, hi)
+                    for a, c in product(low.members, high.members):
+                        yield a, c, b, lo, hi, move
+
+
 def test_witness_builder_transposes_the_pair_at_most_once(monkeypatch):
     calls = []
     original = Bipartition.transpose
@@ -203,21 +235,88 @@ def test_witness_builder_transposes_the_pair_at_most_once(monkeypatch):
         calls.append(bp)
         return original(bp)
 
+    pairs = list(adjacent_member_pairs(5))
     monkeypatch.setattr(Bipartition, "transpose", counted)
     seen = set()
-    for n in range(6):
-        for b in range(n + 2):
-            families = family_table(n, b).families
-            for low, ups in zip(families, _poset(n, b).cover_up):
-                for high in (families[j] for j in ups):
-                    lo, hi = low.kappa.entries, high.kappa.entries
-                    move = _single_move(lo, hi)
-                    for a, c in product(low.members, high.members):
-                        calls.clear()
-                        w = preorder._witness(a, c, b, lo, hi, move)
-                        assert len(calls) == (2 if w.transposed else 0)
-                        seen.add(w.transposed)
+    for args in pairs:
+        calls.clear()
+        w = preorder._witness(*args)
+        assert len(calls) == (2 if w.transposed else 0)
+        seen.add(w.transposed)
     assert seen == {False, True}
+
+
+def test_witness_builder_computes_three_kappas(monkeypatch):
+    # kappa(nu) and the two kappas of the pair it certifies, (a, c) or
+    # (c', a'), each once: the transposed branch reads l and the core off
+    # the same two kappas its check uses
+    calls = []
+    original = symbols.kappa
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    pairs = list(adjacent_member_pairs(5))
+    monkeypatch.setattr(symbols, "kappa", counted)
+    monkeypatch.setattr(preorder, "kappa", counted)
+    branches = Counter()
+    for args in pairs:
+        calls.clear()
+        w = preorder._witness(*args)
+        assert len(calls) == 3, (args, calls)
+        branches[w.transposed] += 1
+    assert branches[False] > 0 and branches[True] > 0
+
+
+def reference_witness_holds(w, x, y, b):
+    """The predicate before it took the pair's kappas: all three recomputed."""
+    n = x.rank
+    if y.rank != n or w.l < 1 or w.nu.rank != n - w.l:
+        return False
+    base = kappa(w.nu, b, n).entries
+    return _is_increment(base, kappa(x, b, n).entries, w.l) and kappa(
+        y, b, n
+    ).entries == _shift_largest(base, w.l, 1)
+
+
+def reference_witness(a, c, b, lo, hi, move):
+    """The builder before it computed the certified pair's kappas once."""
+    if lo[move.k2 - 2] != lo[move.k2 - 1]:
+        x, y, l, transposed = a, c, move.k2 - 1, False
+    else:
+        x, y = c.transpose(), a.transpose()
+        lo, hi = _rank_kappas(x, y, b)
+        l, transposed = _single_move(lo, hi).k1, True
+    n = a.rank
+    try:
+        nu = from_sympartition(_shift_largest(hi, l, -1), b, n, n - l)
+    except (NotAPartition, NotSympartition, ValueError) as exc:
+        raise WitnessInvalid(f"no witness for {a.text()} -> {c.text()}: {exc}") from exc
+    w = InductionWitness(nu, l, transposed)
+    if not reference_witness_holds(w, x, y, b):
+        raise WitnessInvalid(f"constructed witness fails its invariants: {w}")
+    return w
+
+
+def test_witness_builder_matches_the_reference_builder():
+    checked = 0
+    for args in adjacent_member_pairs(5):
+        assert preorder._witness(*args) == reference_witness(*args), args
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("pair", [PLAIN, TRANSPOSED], ids=["plain", "transposed"])
+def test_witness_is_valid_rejects_pairs_of_different_ranks(pair, transposed):
+    # a False answer, not RankMismatch, whichever way the witness goes
+    a, c = map(Bipartition.parse, pair)
+    w = witness_step(a, c, 1)._replace(transposed=transposed)
+    for other in ("2|-", "3,1|-", "-|-", "1|1,1,1"):
+        d = Bipartition.parse(other)
+        assert witness_is_valid(w, a, d, 1) is False
+        assert witness_is_valid(w, d, c, 1) is False
 
 
 def witness_is_valid_by_definition(w, a, c, b):
@@ -236,24 +335,19 @@ def test_witness_is_valid_matches_its_definition():
     # each built witness, and each one broken in l, in its branch or in nu,
     # on every adjacent member pair for n <= 5 and b <= n + 1
     verdicts = Counter()
-    for n in range(6):
-        for b in range(n + 2):
-            families = family_table(n, b).families
-            for low, ups in zip(families, _poset(n, b).cover_up):
-                for high in (families[j] for j in ups):
-                    for a, c in product(low.members, high.members):
-                        w = witness_step(a, c, b)
-                        others = enumerate_bipartitions(w.nu.rank)[:3]
-                        for v in (
-                            w,
-                            w._replace(l=w.l + 1),
-                            w._replace(l=w.l - 1),
-                            w._replace(transposed=not w.transposed),
-                            *(w._replace(nu=nu) for nu in others if nu != w.nu),
-                        ):
-                            got = witness_is_valid(v, a, c, b)
-                            assert got == witness_is_valid_by_definition(v, a, c, b), (v, a, c, b)
-                            verdicts[got] += 1
+    for a, c, b, *_ in adjacent_member_pairs(5):
+        w = witness_step(a, c, b)
+        others = enumerate_bipartitions(w.nu.rank)[:3]
+        for v in (
+            w,
+            w._replace(l=w.l + 1),
+            w._replace(l=w.l - 1),
+            w._replace(transposed=not w.transposed),
+            *(w._replace(nu=nu) for nu in others if nu != w.nu),
+        ):
+            got = witness_is_valid(v, a, c, b)
+            assert got == witness_is_valid_by_definition(v, a, c, b), (v, a, c, b)
+            verdicts[got] += 1
     assert verdicts[True] > 0 and verdicts[False] > verdicts[True]
 
 
@@ -365,17 +459,10 @@ def test_table_kappas_and_move_are_witness_step_inputs():
     # _rank_kappas and adjacency_move.  Every adjacent member pair for n <= 7
     # and b <= n + 1.
     checked = 0
-    for n in range(8):
-        for b in range(n + 2):
-            families = family_table(n, b).families
-            for low, ups in zip(families, _poset(n, b).cover_up):
-                for high in (families[j] for j in ups):
-                    lo, hi = low.kappa.entries, high.kappa.entries
-                    move = _single_move(lo, hi)
-                    for a, c in product(low.members, high.members):
-                        assert (lo, hi) == _rank_kappas(a, c, b)
-                        assert move == adjacency_move(a, c, b)
-                        checked += 1
+    for a, c, b, lo, hi, move in adjacent_member_pairs(7):
+        assert (lo, hi) == _rank_kappas(a, c, b)
+        assert move == adjacency_move(a, c, b)
+        checked += 1
     assert checked == 5284
 
 

@@ -369,21 +369,28 @@ def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n,
 
 
 def test_suite_witness_checks_each_witness_once(monkeypatch):
-    # the builder checks each witness on the pair it was built on, (a, c) or
-    # the transposed (c', a'); that pair may itself be an adjacent pair of
-    # the suite, so a check is told apart by its witness too
-    calls = []
-    holds = preorder._witness_holds
+    # the suite builds one witness per adjacent member pair, and the builder
+    # checks it once, on the kappas of the pair it certifies
+    builds, checks = [], []
+    build, holds = verify._witness, preorder._witness_holds
 
-    def counted(w, x, y, b):
-        calls.append((w, x, y, b))
-        return holds(w, x, y, b)
+    def counted_holds(*args):
+        checks.append(args)
+        return holds(*args)
 
-    monkeypatch.setattr(preorder, "_witness_holds", counted)
+    def counted_build(a, c, b, *rest):
+        before = len(checks)
+        w = build(a, c, b, *rest)
+        builds.append(((a, c, b), len(checks) - before))
+        return w
+
+    monkeypatch.setattr(preorder, "_witness_holds", counted_holds)
+    monkeypatch.setattr(verify, "_witness", counted_build)
     ok, detail = verify.suite_witness(4, (0, 1, 2))
-    assert (ok, detail) == (True, f"{len(calls)} witnesses checked")
-    assert len(set(calls)) == len(calls) > 0
-
+    assert (ok, detail) == (True, f"{len(builds)} witnesses checked")
+    pairs, checked = zip(*builds)
+    assert len(set(pairs)) == len(pairs) == len(checks) > 0
+    assert set(checked) == {1}
 
 
 def test_rejected_core_is_a_verify_failure(capsys, monkeypatch):
