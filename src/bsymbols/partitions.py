@@ -200,9 +200,25 @@ def partitions_of(n: int) -> tuple[Parts, ...]:
     return tuple(gen(n, n))
 
 
+# str() of every value a pinned output renders (its largest part is 75),
+# built once: a dict lookup costs about a quarter of str() on a small int
+_DECIMAL = {v: str(v) for v in range(256)}
+
+
 def format_partition(p: Sequence[int]) -> str:
-    """Comma-separated decimal parts; the empty partition renders as "-"."""
-    return ",".join(map(str, p)) if len(p) else "-"
+    """Comma-separated decimal parts; the empty partition renders as "-".
+
+    The one renderer of a sequence of int parts: each part is
+    looked up in a table of decimal strings for 0-255, and a sequence
+    holding any other value is joined with str() instead, with the same
+    bytes.
+    """
+    if not len(p):
+        return "-"
+    try:
+        return ",".join(map(_DECIMAL.__getitem__, p))
+    except KeyError:
+        return ",".join(map(str, p))
 
 
 def parse_partition(text: str) -> Parts:

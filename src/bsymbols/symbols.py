@@ -29,6 +29,12 @@ from .errors import NotAdmissible, NotSympartition, RankMismatch
 from .partitions import Parts, format_partition, normalize, parse_partition
 
 class Bipartition(NamedTuple):
+    """A pair of partitions, each a normalized tuple of parts.
+
+    The NamedTuple constructor does not validate its components;
+    bipartition() and Bipartition.parse do, and raise NotAPartition.
+    """
+
     first: Parts
     second: Parts
 
@@ -100,7 +106,12 @@ def _admitted(bp: Bipartition, b: int, N: int | None) -> tuple[Parts, Parts, int
 
 
 def symbol(bp: Bipartition, b: int, N: int | None = None) -> Symbol:
-    """The (b, N)-symbol of bp; N defaults to the minimal admissible value."""
+    """The (b, N)-symbol of bp; N defaults to the minimal admissible value.
+
+    bp's components are not validated: build bp with bipartition() or
+    Bipartition.parse, which do, since a raw Bipartition of non-partitions
+    gives rows no bipartition has.
+    """
     first, second, N = _admitted(bp, b, N)
     return Symbol(b, N, _row(second, N), _row(first, N + b))
 
@@ -115,7 +126,13 @@ def _row(parts: Parts, c: int) -> Parts:
 
 
 def kappa(bp: Bipartition, b: int, N: int | None = None) -> Kappa:
-    """All 2N+b symbol entries of bp sorted decreasingly."""
+    """All 2N+b symbol entries of bp sorted decreasingly.
+
+    bp's components are not validated: build bp with bipartition() or
+    Bipartition.parse, which do, since a raw Bipartition of non-partitions
+    gives a vector no bipartition has (Bipartition((1, 2), ()) at b = 0
+    gives (2, 2, 1, 0)).
+    """
     first, second, N = _admitted(bp, b, N)
     return Kappa(tuple(sorted(_row(first, N + b) + _row(second, N), reverse=True)), b, N)
 

@@ -130,6 +130,20 @@ def test_kappa_command(capsys):
     assert out == "4,4,2,1,1,0,0\n"
 
 
+# parts past format_partition's table of 0-255 next to parts inside it
+PAST_THE_TABLE_GOLDENS = {
+    ("kappa", "300,2|1", "--b", "0"): "301,2,2,0\n",
+    ("symbol", "300,2|1", "--b", "3"): (
+        "b: 3\nN: 2\nrow2: 0,2\nrow1: 0,1,2,5,304\nkappa: 304,5,2,2,1,0,0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", PAST_THE_TABLE_GOLDENS)
+def test_past_the_table_goldens(capsys, argv):
+    assert run(capsys, *argv) == (0, PAST_THE_TABLE_GOLDENS[argv], "")
+
+
 def test_families_golden(capsys):
     code, out, _ = run(capsys, "families", "--n", "3", "--b", "1")
     assert code == 0

@@ -233,6 +233,24 @@ def test_text_round_trip():
         parse_partition("1,2")
 
 
+# the decimal table in format_partition covers 0-255; anything else takes
+# the str() fallback, with the same bytes
+parts_st = st.integers(min_value=-300, max_value=300)
+
+
+@given(st.one_of(st.tuples(parts_st, parts_st, parts_st), st.lists(parts_st, max_size=40)))
+def test_format_partition_is_str_join(p):
+    assert format_partition(p) == (",".join(map(str, p)) if p else "-")
+
+
+def test_format_partition_past_the_table():
+    assert format_partition((255,)) == "255"
+    assert format_partition((256,)) == "256"
+    assert format_partition((300, 255, 2, 0)) == "300,255,2,0"
+    assert format_partition([0, -1]) == "0,-1"
+    assert format_partition([]) == "-"
+
+
 @given(partitions_st)
 def test_transpose_involution_property(p):
     assert transpose(transpose(p)) == normalize(p)

@@ -246,6 +246,15 @@ def test_transpose_involution_on_bipartitions(n, b):
         assert bp.transpose().transpose() == bp
 
 
+def test_bipartition_validates_what_the_tuple_does_not():
+    # the NamedTuple constructor takes these as given; the two checked ones refuse them
+    for first, text in (((1, 2), "1,2|-"), ((2, -1), "2,-1|-")):
+        with pytest.raises(NotAPartition):
+            bipartition(first, ())
+        with pytest.raises(NotAPartition):
+            Bipartition.parse(text)
+
+
 def test_bipartition_text_round_trip():
     for text in ("5,1|2,2,1", "-|1,1,1", "-|-", "3|-"):
         assert Bipartition.parse(text).text() == text
