@@ -200,18 +200,17 @@ def partitions_of(n: int) -> tuple[Parts, ...]:
     return tuple(gen(n, n))
 
 
-# str() of every value a pinned output renders (its largest part is 75),
-# built once: a dict lookup costs about a quarter of str() on a small int
+# str() of 0-255, built once: a lookup costs less than str() on a small
+# int, and every part the pinned outputs render is at most 75
 _DECIMAL = {v: str(v) for v in range(256)}
 
 
 def format_partition(p: Sequence[int]) -> str:
     """Comma-separated decimal parts; the empty partition renders as "-".
 
-    The one renderer of a sequence of int parts: each part is
-    looked up in a table of decimal strings for 0-255, and a sequence
-    holding any other value is joined with str() instead, with the same
-    bytes.
+    The one renderer of a sequence of int parts.  Each part is looked up
+    in a table of the decimal strings of 0-255; a sequence holding any
+    other value is joined with str() instead, so the bytes are the same.
     """
     if not len(p):
         return "-"
