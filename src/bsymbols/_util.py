@@ -78,15 +78,3 @@ class GeneratedPreorder:
         except KeyError as exc:
             label = self._label(exc.args[0])
             raise RankMismatch(f"{label} is not an element of rank {self.n}") from None
-
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        m = len(self.elements)
-        return tuple(tuple(row >> j & 1 for j in range(m)) for row in self.rows)
-
-    def render(self) -> str:
-        """Square 0/1 matrix with a header row of element labels."""
-        labels = [self._label(x) for x in self.elements]
-        lines = ["\t".join(labels)]
-        for label, row in zip(labels, self.matrix()):
-            lines.append(label + "\t" + "\t".join(str(v) for v in row))
-        return "\n".join(lines)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .adjacency import saturated_chain
 from .errors import (
     BSymbolsError,
     NotAdmissible,
@@ -20,11 +19,12 @@ from .errors import (
     NotComparable,
     RankMismatch,
 )
-from .families import family_hasse, family_table
 from .partitions import _single_move, dominance_leq, format_partition
-from .preorder import _witness
 from .symbols import Bipartition, Kappa, Symbol, _rank_kappas, a_value, kappa, symbol
-from .verify import run_suites
+
+# The layers past symbols are imported inside the commands that use them: a
+# process without bytecode caches compiles every module it imports, and most
+# queries (kappa, symbol, compare) need none of them.
 
 
 def nonnegative_int(text: str) -> int:
@@ -82,6 +82,8 @@ def cmd_kappa(args: argparse.Namespace) -> int:
 
 
 def cmd_families(args: argparse.Namespace) -> int:
+    from .families import family_table
+
     table = family_table(args.n, args.b)
     if args.format == "json":
         doc = {
@@ -110,6 +112,8 @@ def cmd_families(args: argparse.Namespace) -> int:
 
 
 def cmd_avalues(args: argparse.Namespace) -> int:
+    from .families import family_table
+
     table = family_table(args.n, args.b)
     rows = sorted(
         (m.text(), f.a) for f in table.families for m in f.members
@@ -137,6 +141,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
+    from .adjacency import saturated_chain
+    from .preorder import _witness
+
     a = Bipartition.parse(args.bipartition)
     c = Bipartition.parse(args.bipartition2)
     chain = saturated_chain(a, c, args.b)
@@ -179,6 +186,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suites
+
     results = run_suites(args.max_n, args.b_list, oracle=args.oracle)
     failed = False
     for r in results:
@@ -192,6 +201,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hasse(args: argparse.Namespace) -> int:
+    from .families import family_hasse, family_table
+
     table = family_table(args.n, args.b)
     diagram = family_hasse(table)
     lines = [f"digraph families_n{args.n}_b{args.b} {{", "  rankdir=BT;"]

@@ -340,12 +340,13 @@ def test_verify_reports_failing_suite(capsys, monkeypatch):
 
 
 def test_chain_tripwire_exits_5(capsys, monkeypatch):
+    from bsymbols import preorder
     from bsymbols.errors import WitnessInvalid
 
     def broken(a, c, b, lo, hi, move):
         raise WitnessInvalid("intentional tripwire")
 
-    monkeypatch.setattr(cli, "_witness", broken)
+    monkeypatch.setattr(preorder, "_witness", broken)
     code, out, err = run(capsys, "chain", "-|1,1,1", "3|-", "--b", "1")
     assert code == 5
     assert out == ""
@@ -430,21 +431,86 @@ def test_missing_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_import_loads_neither_dataclasses_nor_json():
-    # every CLI process pays for what `import bsymbols.cli` loads; json is
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def fresh(probe: str, *argv: str) -> str:
+    """stdout of probe run by a new interpreter on this checkout's src."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+CORE = {"bsymbols", "bsymbols.cli", "bsymbols.errors", "bsymbols.partitions", "bsymbols.symbols"}
+
+
+def test_each_subcommand_loads_only_its_modules():
+    # every CLI process compiles what it imports when there is no bytecode
+    # cache, so a query loads only the layers its command runs; json is
     # imported only when --format json asks for it
     probe = (
-        "import sys; before = set(sys.modules); import bsymbols.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
+        "import io, sys; from bsymbols.cli import main; out, sys.stdout = sys.stdout, io.StringIO(); "
+        "code = main(sys.argv[1:]); sys.stdout = out; print(code, *sorted(sys.modules))"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    added = set(out.split())
-    assert "bsymbols.verify" in added
-    assert not added & {"dataclasses", "json"}
+    for argv, code, expected in (
+        (["kappa", "1|2", "--b", "1"], 0, CORE),
+        (["symbol", "5,1|2,2,1", "--b", "2"], 0, CORE),
+        (["compare", "1|-", "-|1", "--b", "0"], 0, CORE),
+        (["kappa", "1,2|-", "--b", "1"], 2, CORE),
+        (["families", "--n", "3", "--b", "1"], 0, CORE | {"bsymbols.families"}),
+        (["avalues", "--n", "3", "--b", "1"], 0, CORE | {"bsymbols.families"}),
+        (["chain", "-|1,1,1", "3|-", "--b", "1"], 0, None),
+        (["hasse", "--n", "3", "--b", "1"], 0, None),
+    ):
+        got, *loaded = fresh(probe, *argv).split()
+        assert int(got) == code, argv
+        package = {m for m in loaded if m.split(".")[0] == "bsymbols"}
+        if expected is None:
+            assert not package & {"bsymbols.verify", "bsymbols.typea"}, argv
+        else:
+            assert package == expected, argv
+        assert not set(loaded) & {"dataclasses", "json"}, argv
+
+
+def test_package_namespace_is_complete_on_first_lookup():
+    # importing the package loads no layer; the first public name looked up
+    # loads them all, verify among them, as the benchmark's tracer expects
+    probe = """
+import json, sys
+import bsymbols
+on_import = sorted(m for m in sys.modules if m.startswith("bsymbols"))
+bsymbols.family_table
+on_lookup = sorted(m for m in sys.modules if m.startswith("bsymbols"))
+unresolved = [name for name in bsymbols.__all__ if getattr(bsymbols, name, None) is None]
+star = {}
+exec("from bsymbols import *", star)
+try:
+    bsymbols.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+from bsymbols import cli
+print(json.dumps({
+    "on_import": on_import,
+    "on_lookup": on_lookup,
+    "unresolved": unresolved,
+    "star": sorted(set(star) - {"__builtins__"}),
+    "all": sorted(bsymbols.__all__),
+    "dir": dir(bsymbols),
+    "unknown": unknown,
+    "cli": cli.__name__,
+}))
+"""
+    doc = json.loads(fresh(probe))
+    assert doc["on_import"] == ["bsymbols"]
+    layers = {"symbols", "families", "adjacency", "preorder", "typea", "verify"}
+    assert {f"bsymbols.{m}" for m in layers} <= set(doc["on_lookup"])
+    assert doc["unresolved"] == []
+    assert doc["star"] == doc["all"]
+    assert "__all__" in doc["dir"] and set(doc["all"]) <= set(doc["dir"])
+    assert doc["unknown"] is not None and "no_such_name" in doc["unknown"]
+    assert doc["cli"] == "bsymbols.cli"
 
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"

@@ -436,14 +436,6 @@ def test_oracle_monotone_in_a():
                         assert a_value(a, b) >= a_value(c, b)
 
 
-def test_oracle_render_matrix():
-    oracle = preceq_oracle(1, 1)
-    lines = oracle.render().splitlines()
-    assert lines[0] == "-|1\t1|-"
-    assert lines[1] == "-|1\t1\t1"
-    assert lines[2] == "1|-\t0\t1"
-
-
 def test_truncated_shift_of_a():
     for k in range(4):
         for l in (1, 2, 3):

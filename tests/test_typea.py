@@ -123,14 +123,6 @@ def test_example_witness_construction():
                 assert p in pieri_targets(nu, j1 - 1)
 
 
-def test_oracle_render_matrix():
-    oracle = preceq_typeA_oracle(2)
-    lines = oracle.render().splitlines()
-    assert lines[0] == "2\t1,1"
-    assert lines[1] == "2\t1\t0"
-    assert lines[2] == "1,1\t1\t1"
-
-
 def test_adjacent_single_box_examples():
     assert adjacent_single_box((2, 2), (3, 1)) == BoxMove(1, 2)
     assert adjacent_single_box((1, 1, 1), (2, 1)) == BoxMove(1, 3)
