@@ -28,9 +28,13 @@ from .symbols import Bipartition, Kappa, Symbol, _rank_kappas, a_value, kappa, s
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type for --b, --n, --N and --max-n; a bad value exits 2."""
+    """argparse type for --b, --n, --N and --max-n; a bad value exits 2.
+
+    Values above sys.maxsize are refused too: ranges and tuples of that
+    length raise OverflowError, which is no part of the exit-code contract.
+    """
     value = int(text)
-    if value < 0:
+    if not 0 <= value <= sys.maxsize:
         raise ValueError(text)
     return value
 

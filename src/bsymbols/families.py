@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .partitions import Parts, partitions_of
-from .symbols import EMPTY, Bipartition, Kappa, kappa, n_stat
+from .symbols import Bipartition, Kappa, _empty_n_stat, kappa, n_stat
 
 
 @lru_cache(maxsize=None)
@@ -54,7 +54,7 @@ def family_table(n: int, b: int) -> FamilyTable:
     groups: dict[Parts, list[Bipartition]] = {}
     for bp in enumerate_bipartitions(n):
         groups.setdefault(kappa(bp, b, N).entries, []).append(bp)
-    base = n_stat(kappa(EMPTY, b, N))
+    base = _empty_n_stat(b, N)
     ordered = sorted(groups.items(), reverse=True)
     families = tuple(
         Family(Kappa(entries, b, N), tuple(members), n_stat(entries) - base)

@@ -167,7 +167,17 @@ def a_value(bp: Bipartition, b: int) -> int:
     that choice (checked by the verification suites).
     """
     N = min_admissible(bp)
-    return n_stat(kappa(bp, b, N)) - n_stat(kappa(EMPTY, b, N))
+    return n_stat(kappa(bp, b, N)) - _empty_n_stat(b, N)
+
+
+def _empty_n_stat(b: int, N: int) -> int:
+    """n_stat of the empty bipartition's kappa at (b, N), in closed form.
+
+    That kappa is N + b - 1, ..., N once, then N - 1, ..., 0 twice each, so
+    its n_stat is sum_{i<b} i(N+b-1-i) + sum_{k<N} (2b+4k+1)(N-1-k),
+    summed here as one polynomial in b and N.
+    """
+    return (b * (b - 1) * (3 * N + b - 2) + N * (N - 1) * (6 * b + 4 * N - 5)) // 6
 
 
 def _profile(p: Sequence[int], b: int, N: int, n: int) -> dict[int, int] | None:

@@ -14,16 +14,23 @@ checks from_sympartition itself on every generated vector; one search per
 (b, N) generates the vectors of all its ranks at once, read rank by rank.
 Each witness comes from preorder._witness, the one witness builder, given
 the table's kappas; its WitnessInvalid is the suite's counterexample.
+The per-cover suites do each construction once.  _witness reads a member
+pair only through the cover and the kappas of the pair it certifies, so
+the witness suite computes each member's kappa and its transpose's once
+per (n, b), calls _witness once per distinct input, and still counts and
+reports every pair.  The frame suite decides each window move from lo's
+neighbours (is it legal) and the prefix-sum slack P_hi - P_lo (does it
+stay at or below hi), with no vector built.  a-monotonicity decides each
+family's row with one AND against the mask of the families of larger a.
 """
 
 from __future__ import annotations
 
 from functools import wraps
-from itertools import groupby, product
+from itertools import accumulate, groupby, product
 from math import comb
 from typing import Callable, Iterator, NamedTuple
 
-from ._util import iter_bits
 from .adjacency import _poset, dominance_rows, frame, verify_double_break
 from .errors import NotAPartition, NotSympartition, PreconditionViolated, WitnessInvalid
 from .families import enumerate_bipartitions, family_table
@@ -42,7 +49,7 @@ from .partitions import (
     transpose,
     up,
 )
-from .preorder import _witness, preceq_oracle, truncated_targets
+from .preorder import InductionWitness, _witness, preceq_oracle, truncated_targets
 from .symbols import (
     EMPTY,
     Bipartition,
@@ -360,15 +367,31 @@ def suite_frame(max_n: int, b_list: tuple[int, ...]):
             yield f"sandwich fails for {lo} -> {hi}"
         # every legal raising move inside the frame window lands
         # strictly above the low vector and at most at the high one
-        for k1 in range(fr.i, fr.j + 1):
-            for k2 in range(k1 + 1, fr.j + 1):
-                try:
-                    moved = up(lo, BoxMove(k1, k2))
-                except NotAPartition:
-                    continue
-                if not (dominance_lt(lo, moved) and dominance_leq(moved, hi)):
-                    yield f"window move ({k1},{k2}) escapes {lo} -> {hi}"
+        for k1, k2 in _window_escapes(lo, hi, fr.i, fr.j):
+            yield f"window move ({k1},{k2}) escapes {lo} -> {hi}"
         yield 1
+
+
+def _window_escapes(lo: Parts, hi: Parts, i: int, j: int) -> Iterator[tuple[int, int]]:
+    """The legal raises (k1, k2) of lo, i <= k1 < k2 <= j, that do not land in (lo, hi].
+
+    lo must be dominated by hi.  A raise is legal when lo's entry above k1
+    exceeds lo_k1, and lo_k2 exceeds the entry below it (0 past the end).
+    A legal raise lands strictly above lo and adds 1 to lo's prefix sums
+    exactly on [k1, k2 - 1], so it stays at or below hi exactly when the
+    slack P_hi - P_lo is at least 1 there.  For each k1 the least slack is
+    kept as k2 grows, so each move costs O(1).
+    """
+    slack = [h - l for l, h in zip(accumulate(lo), accumulate(hi))]
+    end = min(j, len(lo))
+    for k1 in range(i, end):
+        if k1 > 1 and lo[k1 - 2] == lo[k1 - 1]:
+            continue
+        least = slack[k1 - 1]
+        for k2 in range(k1 + 1, end + 1):
+            least = min(least, slack[k2 - 2])
+            if least < 1 and lo[k2 - 1] > (lo[k2] if k2 < len(lo) else 0):
+                yield k1, k2
 
 
 def suite_double_break(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
@@ -392,20 +415,54 @@ def suite_double_break(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
 
 @_checks("witnesses checked")
 def suite_witness(max_n: int, b_list: tuple[int, ...]):
-    for _, b, low, high in _adjacent_family_pairs(max_n, b_list):
-        lo, hi = low.kappa.entries, high.kappa.entries
-        move = _single_move(lo, hi)
-        case1 = lo[move.k2 - 2] != lo[move.k2 - 1]
-        for a, c in product(low.members, high.members):
-            try:
-                w = _witness(a, c, b, lo, hi, move)
-            except WitnessInvalid as exc:  # chained when the core was rejected
-                what = "core not a sympartition" if exc.__cause__ else "invalid witness"
-                yield f"{what} for {a.text()} -> {c.text()}"
-                continue
-            if w.transposed == case1:
+    for n, b in product(range(max_n + 1), b_list):
+        for a, c, plain, w in _cover_witnesses(n, b):
+            if isinstance(w, str):
+                yield f"{w} for {a.text()} -> {c.text()}"
+            elif w.transposed == plain:
                 yield f"wrong case for {a.text()} -> {c.text()} b={b}"
-            yield 1
+            else:
+                yield 1
+
+
+def _cover_witnesses(n: int, b: int):
+    """(a, c, plain, witness) for every member pair of every cover at (n, b).
+
+    The pairs come cover by cover, in the order of _adjacent_family_pairs,
+    then in member order.  plain is whether the cover's move takes
+    _witness's plain branch, and witness is what _witness gives the pair:
+    its InductionWitness, or the suite's name for its WitnessInvalid.
+    _witness reads a pair only through the cover's lo, hi and move and the
+    kappas of the pair it certifies, (a, c) or (c', a') when transposed.
+    So each member's kappa and its transpose's are computed once, and
+    _witness runs once per distinct input of a cover; every pair with that
+    input gets its result.
+    """
+    families = family_table(n, b).families
+    kappas = {
+        m: (kappa(m, b, n).entries, kappa(m.transpose(), b, n).entries)
+        for fam in families
+        for m in fam.members
+    }
+    for low, ups in zip(families, _poset(n, b).cover_up):
+        lo = low.kappa.entries
+        for j in ups:
+            high = families[j]
+            hi = high.kappa.entries
+            move = _single_move(lo, hi)
+            plain = lo[move.k2 - 2] != lo[move.k2 - 1]
+            built: dict[tuple[Parts, Parts], InductionWitness | str] = {}
+            for a, c in product(low.members, high.members):
+                (ka, ta), (kc, tc) = kappas[a], kappas[c]
+                key = (ka, kc) if plain else (tc, ta)
+                if key not in built:
+                    try:
+                        built[key] = _witness(a, c, b, lo, hi, move)
+                    except WitnessInvalid as exc:  # chained when the core was rejected
+                        built[key] = (
+                            "core not a sympartition" if exc.__cause__ else "invalid witness"
+                        )
+                yield a, c, plain, built[key]
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +473,21 @@ def suite_witness(max_n: int, b_list: tuple[int, ...]):
 def suite_a_monotone(max_n: int, b_list: tuple[int, ...]):
     for n, b in product(range(max_n + 1), b_list):
         fams = family_table(n, b).families
+        # larger[a] is the mask of the families whose a-value exceeds a
+        larger: dict[int, int] = {}
+        mask = 0
+        for i in sorted(range(len(fams)), key=lambda i: fams[i].a, reverse=True):
+            larger.setdefault(fams[i].a, mask)
+            mask |= 1 << i
         for i, above in enumerate(_poset(n, b).above):
-            for j in iter_bits(above):
-                if fams[i].a < fams[j].a:
-                    yield (
-                        f"a increases along dominance: {fams[i].kappa.entries} -> "
-                        f"{fams[j].kappa.entries} (n={n}, b={b})"
-                    )
-                yield 1
+            bad = above & larger[fams[i].a]
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                yield (
+                    f"a increases along dominance: {fams[i].kappa.entries} -> "
+                    f"{fams[j].kappa.entries} (n={n}, b={b})"
+                )
+            yield above.bit_count()
 
 
 @_checks("targets checked")

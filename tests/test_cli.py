@@ -425,6 +425,48 @@ def test_exit_code_contract(capsys, argv, code):
         assert out.out == ""
 
 
+# one past the largest length a range or tuple may have; as a weight or a
+# rank it used to escape as an OverflowError traceback with exit 1
+HUGE = str(sys.maxsize + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symbol", "1|2", "--b", HUGE],
+        ["symbol", "1|2", "--b", "1", "--N", HUGE],
+        ["kappa", "1|2", "--b", HUGE],
+        ["kappa", "1|2", "--b", "1", "--N", HUGE],
+        ["kappa", "1|2", "--b", "99999999999999999999"],
+        ["families", "--n", HUGE, "--b", "1"],
+        ["families", "--n", "3", "--b", HUGE],
+        ["avalues", "--n", HUGE, "--b", "1"],
+        ["avalues", "--n", "3", "--b", HUGE],
+        ["compare", "1|-", "-|1", "--b", HUGE],
+        ["chain", "-|1", "1|-", "--b", HUGE],
+        ["hasse", "--n", HUGE, "--b", "1"],
+        ["hasse", "--n", "3", "--b", HUGE],
+        ["verify", "--max-n", HUGE],
+        ["verify", "--b-list", f"0,{HUGE}"],
+    ],
+)
+def test_integer_past_maxsize_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "Traceback" not in out.err and "invalid" in out.err
+
+
+def test_nonnegative_int_bounds():
+    assert cli.nonnegative_int("0") == 0
+    assert cli.nonnegative_int(str(sys.maxsize)) == sys.maxsize
+    for text in ("-1", HUGE):
+        with pytest.raises(ValueError):
+            cli.nonnegative_int(text)
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

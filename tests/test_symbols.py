@@ -19,6 +19,7 @@ from bsymbols.partitions import (
 from bsymbols.symbols import (
     EMPTY,
     Bipartition,
+    _empty_n_stat,
     _fiber,
     _profile,
     a_value,
@@ -106,6 +107,12 @@ def test_a_value_examples():
     assert a_value(bipartition((), (1, 1, 1)), 1) == 9
     for b in range(5):
         assert a_value(EMPTY, b) == 0
+
+
+def test_empty_n_stat_closed_form():
+    # a_value and family_table subtract this in place of building the empty kappa
+    for b, N in product(range(40), range(40)):
+        assert _empty_n_stat(b, N) == n_stat(kappa(EMPTY, b, N)), (b, N)
 
 
 def test_a_value_independent_of_admissible_size():
@@ -244,6 +251,22 @@ def test_transpose_of_bipartition():
 def test_transpose_involution_on_bipartitions(n, b):
     for bp in enumerate_bipartitions(n):
         assert bp.transpose().transpose() == bp
+
+
+def test_transpose_reflects_and_complements_kappa():
+    # with N >= n every entry of kappa at (b, N) lies below M = 2N + b, and
+    # the transpose's kappa takes each value M - 1 - y exactly 2 - mult(y)
+    # times, mult(y) being how often kappa(bp) takes y
+    cases = 0
+    for n in range(10):
+        for bp, b in product(enumerate_bipartitions(n), range(n + 3)):
+            for N in (n, n + 1, n + 2):
+                M = 2 * N + b
+                mult = Counter(kappa(bp, b, N).entries)
+                expected = Counter({M - 1 - y: 2 - mult[y] for y in range(M) if mult[y] < 2})
+                assert Counter(kappa(bp.transpose(), b, N).entries) == expected, (bp, b, N)
+                cases += 1
+    assert cases == 23532
 
 
 def test_bipartition_validates_what_the_tuple_does_not():

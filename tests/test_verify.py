@@ -1,16 +1,33 @@
 import hashlib
 import json
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
 
 from bsymbols import cli, preorder, verify
-from bsymbols.adjacency import dominance_rows, frame, verify_double_break
-from bsymbols.errors import NotSympartition
-from bsymbols.families import enumerate_bipartitions
-from bsymbols.partitions import BoxMove, _single_move, padded, partitions_of, up
+from bsymbols._util import iter_bits
+from bsymbols.adjacency import _poset, dominance_rows, frame, verify_double_break
+from bsymbols.errors import NotAPartition, NotSympartition, WitnessInvalid
+from bsymbols.families import enumerate_bipartitions, family_table
+from bsymbols.partitions import (
+    BoxMove,
+    _single_move,
+    dominance_leq,
+    dominance_lt,
+    padded,
+    partitions_of,
+    up,
+)
 from bsymbols.preorder import InductionWitness
-from bsymbols.symbols import Bipartition, f_stat, from_sympartition, is_sympartition, kappa
+from bsymbols.symbols import (
+    Bipartition,
+    _rank_kappas,
+    f_stat,
+    from_sympartition,
+    is_sympartition,
+    kappa,
+)
 from bsymbols.typea import a_value_typeA
 from bsymbols.verify import _sympartitions_by_rank, run_suites
 
@@ -204,8 +221,9 @@ def frame_j_off_by_one(k, k2):
     return fr._replace(j=fr.j + 1)
 
 
-def up_twice(p, move):
-    return up(up(p, move), move)
+def prefix_sums_one_late(p):
+    """accumulate with a leading 0, so each prefix sum lands one position late."""
+    return accumulate(p, initial=0)
 
 
 def double_break_window_one_short(fr):
@@ -265,8 +283,8 @@ def double_break_window_one_short(fr):
             "sandwich fails for (1, 1, 0) -> (2, 0, 0)",
         ),
         (
-            "verify.up",
-            up_twice,
+            "verify.accumulate",
+            prefix_sums_one_late,
             verify.suite_frame,
             2,
             (0,),
@@ -368,29 +386,138 @@ def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n,
     assert got == detail
 
 
-def test_suite_witness_checks_each_witness_once(monkeypatch):
-    # the suite builds one witness per adjacent member pair, and the builder
-    # checks it once, on the kappas of the pair it certifies
-    builds, checks = [], []
+def covers(n, b):
+    """(low, high) for every cover of families at (n, b), in the poset's order."""
+    families = family_table(n, b).families
+    for low, ups in zip(families, _poset(n, b).cover_up):
+        for j in ups:
+            yield low, families[j]
+
+
+def per_pair_witnesses(low, high, b):
+    """The witness suite's loop before it built once per distinct input: _witness on every pair."""
+    lo, hi = low.kappa.entries, high.kappa.entries
+    move = _single_move(lo, hi)
+    for a, c in product(low.members, high.members):
+        try:
+            w = preorder._witness(a, c, b, lo, hi, move)
+        except WitnessInvalid as exc:
+            w = "core not a sympartition" if exc.__cause__ else "invalid witness"
+        yield a, c, lo[move.k2 - 2] != lo[move.k2 - 1], w
+
+
+def test_suite_witness_builds_once_per_distinct_input(monkeypatch):
+    # every member pair is counted; _witness runs once per distinct input,
+    # that is the cover with the kappas of the pair it certifies, and checks
+    # its witness once; and each pair gets the witness _witness builds for
+    # it when called directly
+    b_list = tuple(range(7))
+    keys, pairs = set(), 0
+    for n, b in product(range(6), b_list):
+        for low, high in covers(n, b):
+            lo, hi = low.kappa.entries, high.kappa.entries
+            move = _single_move(lo, hi)
+            for a, c in product(low.members, high.members):
+                if lo[move.k2 - 2] != lo[move.k2 - 1]:
+                    certified = _rank_kappas(a, c, b)
+                else:
+                    certified = _rank_kappas(c.transpose(), a.transpose(), b)
+                keys.add((b, lo, hi, move, *certified))
+                pairs += 1
+    calls, checks = [], []
     build, holds = verify._witness, preorder._witness_holds
 
     def counted_holds(*args):
         checks.append(args)
         return holds(*args)
 
-    def counted_build(a, c, b, *rest):
-        before = len(checks)
-        w = build(a, c, b, *rest)
-        builds.append(((a, c, b), len(checks) - before))
-        return w
+    def counted(a, c, b, lo, hi, move):
+        calls.append((a, c, b))
+        return build(a, c, b, lo, hi, move)
 
     monkeypatch.setattr(preorder, "_witness_holds", counted_holds)
-    monkeypatch.setattr(verify, "_witness", counted_build)
-    ok, detail = verify.suite_witness(4, (0, 1, 2))
-    assert (ok, detail) == (True, f"{len(builds)} witnesses checked")
-    pairs, checked = zip(*builds)
-    assert len(set(pairs)) == len(pairs) == len(checks) > 0
-    assert set(checked) == {1}
+    monkeypatch.setattr(verify, "_witness", counted)
+    assert verify.suite_witness(5, b_list) == (True, f"{pairs} witnesses checked")
+    assert len(calls) == len(set(calls)) == len(keys) == len(checks) < pairs
+    monkeypatch.undo()
+    for n, b in product(range(6), b_list):
+        for a, c, _, w in verify._cover_witnesses(n, b):
+            lo, hi = _rank_kappas(a, c, b)
+            assert w == preorder._witness(a, c, b, lo, hi, _single_move(lo, hi)), (a, c, b)
+
+
+def test_cover_witnesses_match_per_pair_loop():
+    # every member pair of every cover with n <= 7 and b <= n + 1
+    for n in range(8):
+        for b in range(n + 2):
+            expected = [
+                found for low, high in covers(n, b) for found in per_pair_witnesses(low, high, b)
+            ]
+            assert list(verify._cover_witnesses(n, b)) == expected, (n, b)
+
+
+def window_escapes_by_moving(lo, hi, i, j):
+    """The frame suite's window loop before prefix sums: up and two dominance tests per move."""
+    for k1 in range(i, j + 1):
+        for k2 in range(k1 + 1, j + 1):
+            try:
+                moved = up(lo, BoxMove(k1, k2))
+            except NotAPartition:
+                continue
+            if not (dominance_lt(lo, moved) and dominance_leq(moved, hi)):
+                yield k1, k2
+
+
+def test_window_escapes_match_moving_loop():
+    # every cover with n <= 7 and b <= n + 1, on the frame window, where
+    # nothing escapes, and on the whole vector, where the moves outside the
+    # frame do
+    escapes = 0
+    for n in range(8):
+        for b in range(n + 2):
+            for low, high in covers(n, b):
+                lo, hi = low.kappa.entries, high.kappa.entries
+                fr = frame(low.kappa, high.kappa)
+                for i, j in ((fr.i, fr.j), (1, len(lo))):
+                    got = list(verify._window_escapes(lo, hi, i, j))
+                    assert got == list(window_escapes_by_moving(lo, hi, i, j)), (lo, hi, i, j)
+                    escapes += len(got)
+    assert escapes == 110364
+
+
+def a_monotone_by_pairs(max_n, b_list):
+    """The a-monotonicity suite before one AND per row: each comparable pair in turn."""
+    checked = 0
+    for n, b in product(range(max_n + 1), b_list):
+        fams = verify.family_table(n, b).families
+        for i, above in enumerate(_poset(n, b).above):
+            for j in iter_bits(above):
+                if fams[i].a < fams[j].a:
+                    return False, (
+                        f"a increases along dominance: {fams[i].kappa.entries} -> "
+                        f"{fams[j].kappa.entries} (n={n}, b={b})"
+                    )
+                checked += 1
+    return True, f"{checked} comparable pairs checked"
+
+
+def test_a_monotone_matches_pairwise_loop(monkeypatch):
+    assert verify.suite_a_monotone(6, tuple(range(8))) == a_monotone_by_pairs(6, range(8))
+    # one family's a-value moved below or above every other one, in turn:
+    # the same first counterexample, or the same count when none breaks
+    table = family_table(4, 1)
+    failures = 0
+    for k, a in product(range(len(table.families)), (-1, 100)):
+        fams = list(table.families)
+        fams[k] = fams[k]._replace(a=a)
+        wrong = table._replace(families=tuple(fams))
+        monkeypatch.setattr(
+            verify, "family_table", lambda n, b: wrong if (n, b) == (4, 1) else family_table(n, b)
+        )
+        got = verify.suite_a_monotone(4, (0, 1, 2))
+        assert got == a_monotone_by_pairs(4, (0, 1, 2)), (k, a)
+        failures += not got[0]
+    assert failures > len(table.families)
 
 
 def test_rejected_core_is_a_verify_failure(capsys, monkeypatch):
