@@ -4,7 +4,8 @@ Subcommands: symbol, kappa, families, avalues, compare, chain, verify,
 hasse.  All output is deterministic; exit codes are 0 for success, 1 for a
 verification failure, 2 for a parse error, 3 for an inadmissible N, 4
 for incomparable inputs and 5 for an internal error (a tripwire such as
-NoSingleMove or WitnessInvalid).
+NoSingleMove or WitnessInvalid, or a MemoryError from a weight or size too
+large to build).
 """
 
 from __future__ import annotations
@@ -302,8 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NotComparable, RankMismatch) as exc:
         print(f"incomparable: {exc}", file=sys.stderr)
         return 4
-    except BSymbolsError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (BSymbolsError, MemoryError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"internal error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 5
 
 

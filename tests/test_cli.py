@@ -459,6 +459,31 @@ def test_integer_past_maxsize_exits_2(capsys, argv):
     assert "Traceback" not in out.err and "invalid" in out.err
 
 
+# just below sys.maxsize: the value passes nonnegative_int, and CPython
+# refuses a list or tuple of that length before it allocates anything
+BIG = str(sys.maxsize - 1000)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symbol", "1|2", "--b", BIG],
+        ["symbol", "1|2", "--b", "1", "--N", BIG],
+        ["kappa", "1|2", "--b", BIG],
+        ["kappa", "1|2", "--b", "1", "--N", BIG],
+        ["families", "--n", "3", "--b", BIG],
+        ["avalues", "--n", "3", "--b", BIG],
+        ["compare", "1|-", "-|1", "--b", BIG],
+        ["chain", "-|1", "1|-", "--b", BIG],
+        ["hasse", "--n", "3", "--b", BIG],
+        ["verify", "--max-n", "1", "--b-list", f"0,{BIG}"],
+    ],
+)
+def test_memory_error_exits_5(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (5, "", "internal error: MemoryError\n")
+
+
 def test_nonnegative_int_bounds():
     assert cli.nonnegative_int("0") == 0
     assert cli.nonnegative_int(str(sys.maxsize)) == sys.maxsize
@@ -553,6 +578,24 @@ print(json.dumps({
     assert "__all__" in doc["dir"] and set(doc["all"]) <= set(doc["dir"])
     assert doc["unknown"] is not None and "no_such_name" in doc["unknown"]
     assert doc["cli"] == "bsymbols.cli"
+
+
+def test_export_table_is_honest():
+    # each row's names are defined in that row's module, no name sits in two
+    # rows, and __all__ is the sorted union with clear_caches
+    import importlib
+
+    import bsymbols
+
+    exported = []
+    for module, names in bsymbols._EXPORTS.items():
+        layer = importlib.import_module(f"bsymbols.{module}")
+        for name in names:
+            assert getattr(layer, name).__module__ == layer.__name__, name
+        exported += names
+    assert len(exported) == len(set(exported))
+    assert bsymbols.__all__ == sorted(set(bsymbols.__all__))
+    assert set(bsymbols.__all__) == {*exported, "clear_caches"}
 
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
