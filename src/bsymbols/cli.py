@@ -21,7 +21,7 @@ from .errors import (
     RankMismatch,
 )
 from .partitions import _single_move, dominance_leq, format_partition
-from .symbols import Bipartition, Kappa, Symbol, _rank_kappas, a_value, kappa, symbol
+from .symbols import Bipartition, _rank_kappas, a_value, kappa, symbol
 
 # The layers past symbols are imported inside the commands that use them: a
 # process without bytecode caches compiles every module it imports, and most
@@ -51,22 +51,13 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _record(s: Symbol, k: Kappa) -> dict:
-    return {
-        "b": s.b,
-        "N": s.N,
-        "row1": list(s.row1),
-        "row2": list(s.row2),
-        "kappa": list(k.entries),
-    }
-
-
 def cmd_symbol(args: argparse.Namespace) -> int:
     bp = Bipartition.parse(args.bipartition)
     s = symbol(bp, args.b, args.N)
     k = kappa(bp, args.b, args.N)
     if args.format == "json":
-        _print_json(_record(s, k))
+        row1, row2, entries = list(s.row1), list(s.row2), list(k.entries)
+        _print_json({"b": s.b, "N": s.N, "row1": row1, "row2": row2, "kappa": entries})
     else:
         print(f"b: {s.b}")
         print(f"N: {s.N}")
@@ -77,12 +68,10 @@ def cmd_symbol(args: argparse.Namespace) -> int:
 
 
 def cmd_kappa(args: argparse.Namespace) -> int:
-    bp = Bipartition.parse(args.bipartition)
-    k = kappa(bp, args.b, args.N)
     if args.format == "json":
-        _print_json(_record(symbol(bp, args.b, args.N), k))
-    else:
-        print(format_partition(k.entries))
+        return cmd_symbol(args)  # the JSON record is symbol's, kappa included
+    k = kappa(Bipartition.parse(args.bipartition), args.b, args.N)
+    print(format_partition(k.entries))
     return 0
 
 
@@ -221,6 +210,28 @@ def cmd_hasse(args: argparse.Namespace) -> int:
     return 0
 
 
+# Every argument is declared once; a subcommand names the ones it takes.
+ARGUMENTS: dict[str, dict] = {
+    "bipartition": {"help": "textual form, e.g. 5,1|2,2,1"},
+    "bipartition2": {},
+    "--n": {"type": nonnegative_int, "required": True},
+    "--b": {"type": nonnegative_int, "required": True},
+    "--N": {"type": nonnegative_int, "default": None},
+    "--max-n": {
+        "type": nonnegative_int,
+        "default": 6,
+        "help": "largest rank checked (default 6); sympartition-roundtrip ignores it and "
+        "--b-list, and always checks every sympartition of total <= 30, N <= 6, b <= 8",
+    },
+    "--b-list": {"type": weight_list, "default": "0,1,2,3"},
+    "--oracle": {"action": "store_true"},
+}
+# The three kinds of query: one bipartition, a pair of them, or a rank n.
+POINT = ("bipartition", "--b", "--N")
+PAIR = ("bipartition", "bipartition2", "--b")
+RANK = ("--n", "--b")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsymbols",
@@ -228,59 +239,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True)
 
-    def add(name: str, func, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
+    def add(name: str, func, names: tuple[str, ...], formats: tuple[str, ...], help: str):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        return p
+        for arg in names:
+            p.add_argument(arg, **ARGUMENTS[arg])
+        if formats:  # the first choice is the default
+            p.add_argument("--format", choices=formats, default=formats[0])
 
-    p = add("symbol", cmd_symbol, help="print the (b, N)-symbol and kappa of a bipartition")
-    p.add_argument("bipartition", help="textual form, e.g. 5,1|2,2,1")
-    p.add_argument("--b", type=nonnegative_int, required=True)
-    p.add_argument("--N", type=nonnegative_int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = add("kappa", cmd_kappa, help="print the kappa vector of a bipartition")
-    p.add_argument("bipartition")
-    p.add_argument("--b", type=nonnegative_int, required=True)
-    p.add_argument("--N", type=nonnegative_int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = add("families", cmd_families, help="group the bipartitions of n into families")
-    p.add_argument("--n", type=nonnegative_int, required=True)
-    p.add_argument("--b", type=nonnegative_int, required=True)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-
-    p = add("avalues", cmd_avalues, help="a-value of every bipartition of n")
-    p.add_argument("--n", type=nonnegative_int, required=True)
-    p.add_argument("--b", type=nonnegative_int, required=True)
-
-    p = add("compare", cmd_compare, help="compare two bipartitions under dominance")
-    p.add_argument("bipartition")
-    p.add_argument("bipartition2")
-    p.add_argument("--b", type=nonnegative_int, required=True)
-
-    p = add("chain", cmd_chain, help="saturated chain with one witness per step")
-    p.add_argument("bipartition")
-    p.add_argument("bipartition2")
-    p.add_argument("--b", type=nonnegative_int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = add("verify", cmd_verify, help="run the property suites")
-    p.add_argument(
-        "--max-n",
-        type=nonnegative_int,
-        default=6,
-        dest="max_n",
-        help="largest rank checked (default 6); sympartition-roundtrip ignores it and "
-        "--b-list, and always checks every sympartition of total <= 30, N <= 6, b <= 8",
-    )
-    p.add_argument("--b-list", type=weight_list, default="0,1,2,3", dest="b_list")
-    p.add_argument("--oracle", action="store_true")
-
-    p = add("hasse", cmd_hasse, help="Hasse diagram of the families as a dot graph")
-    p.add_argument("--n", type=nonnegative_int, required=True)
-    p.add_argument("--b", type=nonnegative_int, required=True)
-
+    text = ("text", "json")
+    add("symbol", cmd_symbol, POINT, text, "print the (b, N)-symbol and kappa of a bipartition")
+    add("kappa", cmd_kappa, POINT, text, "print the kappa vector of a bipartition")
+    add("families", cmd_families, RANK, ("tsv", "json"), "group the bipartitions of n into families")
+    add("avalues", cmd_avalues, RANK, (), "a-value of every bipartition of n")
+    add("compare", cmd_compare, PAIR, (), "compare two bipartitions under dominance")
+    add("chain", cmd_chain, PAIR, text, "saturated chain with one witness per step")
+    add("verify", cmd_verify, ("--max-n", "--b-list", "--oracle"), (), "run the property suites")
+    add("hasse", cmd_hasse, RANK, (), "Hasse diagram of the families as a dot graph")
     return parser
 
 

@@ -329,17 +329,17 @@ def suite_asymptotic(max_n: int, b_list: tuple[int, ...]):
 
 
 def _adjacent_family_pairs(max_n: int, b_list: tuple[int, ...]):
-    """(n, b, low, high) for every covering pair of families at N = n, over the grid."""
+    """(low, high) for every covering pair of families at N = n, over the grid."""
     for n, b in product(range(max_n + 1), b_list):
         families = family_table(n, b).families
         for fam, ups in zip(families, _poset(n, b).cover_up):
             for j in ups:
-                yield n, b, fam, families[j]
+                yield fam, families[j]
 
 
 @_checks("adjacent pairs checked")
 def suite_single_move(max_n: int, b_list: tuple[int, ...]):
-    for _, _, low, high in _adjacent_family_pairs(max_n, b_list):
+    for low, high in _adjacent_family_pairs(max_n, b_list):
         move = _single_move(low.kappa.entries, high.kappa.entries)
         fr = frame(low.kappa, high.kappa)
         if not fr.i <= move.k1 < move.k2 <= fr.j:
@@ -358,7 +358,7 @@ def suite_single_move(max_n: int, b_list: tuple[int, ...]):
 
 @_checks("frames checked")
 def suite_frame(max_n: int, b_list: tuple[int, ...]):
-    for _, _, low, high in _adjacent_family_pairs(max_n, b_list):
+    for low, high in _adjacent_family_pairs(max_n, b_list):
         lo, hi = low.kappa.entries, high.kappa.entries
         fr = frame(low.kappa, high.kappa)
         if lo[: fr.i - 1] != hi[: fr.i - 1] or lo[fr.j :] != hi[fr.j :]:
@@ -397,7 +397,7 @@ def _window_escapes(lo: Parts, hi: Parts, i: int, j: int) -> Iterator[tuple[int,
 def suite_double_break(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
     checked = 0
     applicable = 0
-    for _, _, low, high in _adjacent_family_pairs(max_n, b_list):
+    for low, high in _adjacent_family_pairs(max_n, b_list):
         checked += 1
         fr = frame(low.kappa, high.kappa)
         try:
@@ -434,16 +434,13 @@ def _cover_witnesses(n: int, b: int):
     its InductionWitness, or the suite's name for its WitnessInvalid.
     _witness reads a pair only through the cover's lo, hi and move and the
     kappas of the pair it certifies, (a, c) or (c', a') when transposed.
-    So each member's kappa and its transpose's are computed once, and
-    _witness runs once per distinct input of a cover; every pair with that
-    input gets its result.
+    Every member's transpose is a member too, so both kappas come from the
+    family table, and _witness runs once per distinct input of a cover;
+    every pair with that input gets its result.
     """
     families = family_table(n, b).families
-    kappas = {
-        m: (kappa(m, b, n).entries, kappa(m.transpose(), b, n).entries)
-        for fam in families
-        for m in fam.members
-    }
+    entries = {m: fam.kappa.entries for fam in families for m in fam.members}
+    kappas = {m: (k, entries[m.transpose()]) for m, k in entries.items()}
     for low, ups in zip(families, _poset(n, b).cover_up):
         lo = low.kappa.entries
         for j in ups:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -128,6 +129,70 @@ def test_kappa_command(capsys):
     code, out, _ = run(capsys, "kappa", "1|2", "--b", "1", "--N", "3")
     assert code == 0
     assert out == "4,4,2,1,1,0,0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("1|2", "--b", "1", "--N", "3"),
+        ("5,1|2,2,1", "--b", "2"),
+        ("-|1,1,1", "--b", "0", "--N", "4"),
+        ("300,2|1", "--b", "3"),
+        ("3,1|2", "--b", "1", "--N", "1"),  # inadmissible N: exit 3
+        ("1,2|-", "--b", "1"),  # not a partition: exit 2
+    ],
+)
+def test_kappa_json_is_symbol_json(capsys, argv):
+    symbol = run(capsys, "symbol", *argv, "--format", "json")
+    assert run(capsys, "kappa", *argv, "--format", "json") == symbol
+    assert symbol[0] in (0, 2, 3)
+
+
+# Every subcommand's arguments as (option strings, dest, required, default,
+# choices, type name), help first, in the order build_parser adds them.
+HELP = (("-h", "--help"), "help", False, "==SUPPRESS==", None, None)
+BIPARTITION = ((), "bipartition", True, None, None, None)
+BIPARTITION2 = ((), "bipartition2", True, None, None, None)
+WEIGHT = (("--b",), "b", True, None, None, "nonnegative_int")
+SIZE = (("--N",), "N", False, None, None, "nonnegative_int")
+RANK = (("--n",), "n", True, None, None, "nonnegative_int")
+TEXT_OR_JSON = (("--format",), "format", False, "text", ("text", "json"), None)
+PARSER_CONTRACT = {
+    "symbol": [HELP, BIPARTITION, WEIGHT, SIZE, TEXT_OR_JSON],
+    "kappa": [HELP, BIPARTITION, WEIGHT, SIZE, TEXT_OR_JSON],
+    "families": [HELP, RANK, WEIGHT, (("--format",), "format", False, "tsv", ("tsv", "json"), None)],
+    "avalues": [HELP, RANK, WEIGHT],
+    "compare": [HELP, BIPARTITION, BIPARTITION2, WEIGHT],
+    "chain": [HELP, BIPARTITION, BIPARTITION2, WEIGHT, TEXT_OR_JSON],
+    "verify": [
+        HELP,
+        (("--max-n",), "max_n", False, 6, None, "nonnegative_int"),
+        (("--b-list",), "b_list", False, "0,1,2,3", None, "weight_list"),
+        (("--oracle",), "oracle", False, False, None, None),
+    ],
+    "hasse": [HELP, RANK, WEIGHT],
+}
+
+
+def test_parser_contract():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: [
+            (
+                tuple(a.option_strings),
+                a.dest,
+                a.required,
+                a.default,
+                None if a.choices is None else tuple(a.choices),
+                getattr(a.type, "__name__", None),
+            )
+            for a in p._actions
+        ]
+        for name, p in sub.choices.items()
+    }
+    assert got == PARSER_CONTRACT
+    assert list(got) == list(PARSER_CONTRACT)
 
 
 # parts past format_partition's table of 0-255 next to parts inside it

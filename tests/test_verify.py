@@ -456,6 +456,19 @@ def test_cover_witnesses_match_per_pair_loop():
             assert list(verify._cover_witnesses(n, b)) == expected, (n, b)
 
 
+def test_cover_witnesses_read_kappas_from_the_table(monkeypatch):
+    # the members' and their transposes' kappas come from the family table;
+    # only _witness computes kappas, through its own module's names
+    def no_kappa(*args):
+        raise AssertionError(f"kappa{args} outside _witness")
+
+    for n, b in product(range(7), range(8)):
+        family_table(n, b)  # built before kappa is patched
+    monkeypatch.setattr(verify, "kappa", no_kappa)
+    for n, b in product(range(7), range(8)):
+        assert all(not isinstance(w, str) for *_, w in verify._cover_witnesses(n, b)), (n, b)
+
+
 def window_escapes_by_moving(lo, hi, i, j):
     """The frame suite's window loop before prefix sums: up and two dominance tests per move."""
     for k1 in range(i, j + 1):
