@@ -3,14 +3,15 @@
 Subcommands: symbol, kappa, families, avalues, compare, chain, verify,
 hasse.  All output is deterministic; exit codes are 0 for success, 1 for a
 verification failure, 2 for a parse error, 3 for an inadmissible N, 4
-for incomparable inputs and 5 for an internal error (a tripwire such as
+for incomparable inputs, 5 for an internal error (a tripwire such as
 NoSingleMove or WitnessInvalid, or a MemoryError from a weight or size too
-large to build).
+large to build) and 141 when the reader closed stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import (
@@ -268,7 +269,14 @@ def main(argv: list[str] | None = None) -> int:
         argv = [t for t in argv if "|" not in t] + ["--"] + pipe_args
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; with fd 1 on devnull the exit-time flush
+        # cannot raise again, and 141 is what a shell reports for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except NotAPartition as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -4,24 +4,26 @@ Every suite re-checks one of the structural facts the package relies on,
 at a scale given by the caller: partition-order axioms, sympartition
 characterization and round trips, N-stability, the single-box adjacency
 theorem with its frame lemmas, witness soundness, a-function monotonicity
-and the equivalence of the dominance description with the induction
-oracle.  Each suite is a generator of checks under one runner, which
-counts them, stops at the first counterexample and returns (ok, detail):
-"<count> <unit>", or the counterexample's deterministic text.  The three
-rank-wide comparisons (the oracle, N-stability and type A) compare whole
-bitset rows from adjacency.dominance_rows, not pairs.  The round trip
-checks from_sympartition itself on every generated vector; one search per
-(b, N) generates the vectors of all its ranks at once, read rank by rank.
-Each witness comes from preorder._witness, the one witness builder, given
-the table's kappas; its WitnessInvalid is the suite's counterexample.
-The per-cover suites do each construction once.  _witness reads a member
-pair only through the cover and the kappas of the pair it certifies, so
-the witness suite computes each member's kappa and its transpose's once
-per (n, b), calls _witness once per distinct input, and still counts and
-reports every pair.  The frame suite decides each window move from lo's
-neighbours (is it legal) and the prefix-sum slack P_hi - P_lo (does it
-stay at or below hi), with no vector built.  a-monotonicity decides each
-family's row with one AND against the mask of the families of larger a.
+and the equivalence of dominance with the induction oracle.  _checks
+declares each suite once, with its printed name and unit, as a generator
+of checks under the one runner, which counts them, stops at the first
+counterexample and returns (ok, detail): "<count> <unit>", or the
+counterexample's text.  A unit may name {seen}, the number of counts
+yielded; suite_double_break yields 0 for a cover outside the lemma.
+SUITES lists the suites in declaration order; ORACLE_SUITE is declared
+last.  The three rank-wide comparisons (the oracle, N-stability, type A)
+compare whole bitset rows from adjacency.dominance_rows, not pairs.  The
+round trip checks from_sympartition on every generated vector; one search
+per (b, N) generates the vectors of all its ranks at once.  Each witness
+comes from preorder._witness, the one witness builder, given the table's
+kappas; its WitnessInvalid is the suite's counterexample.  The per-cover
+suites do each construction once: _witness reads a member pair only
+through the cover and the kappas of the pair it certifies, so it runs
+once per distinct input, and every pair is still counted.  The frame
+suite decides each window move from lo's neighbours (is it legal) and the
+prefix-sum slack P_hi - P_lo (does it stay at or below hi), with no vector
+built.  a-monotonicity decides each family's row with one AND against the
+mask of the families of larger a.
 """
 
 from __future__ import annotations
@@ -119,24 +121,32 @@ def _sympartitions_by_rank(b: int, N: int, hi: int) -> list[list[Parts]]:
     return buckets
 
 
-def _checks(unit: str):
-    """Turn a generator of checks into a suite returning (ok, detail).
+Suite = Callable[[int, tuple[int, ...]], tuple[bool, str]]
+_DECLARED: list[tuple[str, Suite]] = []
+
+
+def _checks(name: str, unit: str):
+    """Declare a suite, printed as name, from a generator of checks.
 
     The generator yields the number of checks it has just passed, or the
-    text of a counterexample; the suite stops at the first counterexample
-    and otherwise reports "<count> <unit>".
+    text of a counterexample; the suite returns (ok, detail), stopping at
+    the first counterexample and otherwise reporting "<count> <unit>".  The
+    unit may name {seen}, the number of counts the generator yielded.
+    Suites run in declaration order, and the oracle suite is declared last.
     """
 
-    def runner(gen: Callable[[int, tuple[int, ...]], Iterator[int | str]]):
+    def runner(gen: Callable[[int, tuple[int, ...]], Iterator[int | str]]) -> Suite:
         @wraps(gen)
         def suite(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-            checked = 0
+            checked = seen = 0
             for found in gen(max_n, b_list):
                 if isinstance(found, str):
                     return False, found
                 checked += found
-            return True, f"{checked} {unit}"
+                seen += 1
+            return True, f"{checked} {unit.format(seen=seen)}"
 
+        _DECLARED.append((name, suite))
         return suite
 
     return runner
@@ -158,7 +168,7 @@ def _row_checks(rows: tuple[int, ...], expected: tuple[int, ...], describe):
 # partition suites
 
 
-@_checks("triples checked")
+@_checks("partition-order-axioms", "triples checked")
 def suite_partition_order(max_n: int, b_list: tuple[int, ...]):
     for s in range(max_n + 1):
         ps = partitions_of(s)
@@ -177,7 +187,7 @@ def suite_partition_order(max_n: int, b_list: tuple[int, ...]):
                 yield 1
 
 
-@_checks("pairs checked")
+@_checks("transpose-anti-isomorphism", "pairs checked")
 def suite_transpose(max_n: int, b_list: tuple[int, ...]):
     for s in range(max_n + 1):
         ps = partitions_of(s)
@@ -190,7 +200,7 @@ def suite_transpose(max_n: int, b_list: tuple[int, ...]):
             yield 1
 
 
-@_checks("moves checked")
+@_checks("raising-moves", "moves checked")
 def suite_box_moves(max_n: int, b_list: tuple[int, ...]):
     for s in range(max_n + 1):
         for p in partitions_of(s):
@@ -210,7 +220,7 @@ def suite_box_moves(max_n: int, b_list: tuple[int, ...]):
                     yield 1
 
 
-@_checks("partitions checked")
+@_checks("overlap-statistics", "partitions checked")
 def suite_overlaps(max_n: int, b_list: tuple[int, ...]):
     for s in range(max_n + 1):
         for p in partitions_of(s):
@@ -234,7 +244,7 @@ def suite_overlaps(max_n: int, b_list: tuple[int, ...]):
 # symbol suites
 
 
-@_checks("kappas checked")
+@_checks("kappa-is-sympartition", "kappas checked")
 def suite_kappa_sympartition(max_n: int, b_list: tuple[int, ...]):
     for n, b in product(range(max_n + 1), b_list):
         for bp in enumerate_bipartitions(n):
@@ -248,7 +258,7 @@ def suite_kappa_sympartition(max_n: int, b_list: tuple[int, ...]):
                 yield 1
 
 
-@_checks("bipartitions checked")
+@_checks("a-value-stability", "bipartitions checked")
 def suite_a_stability(max_n: int, b_list: tuple[int, ...]):
     # every N used below is at most least + 3 <= max_n + 3
     empty = {(b, N): n_stat(kappa(EMPTY, b, N)) for b in b_list for N in range(max_n + 4)}
@@ -263,7 +273,7 @@ def suite_a_stability(max_n: int, b_list: tuple[int, ...]):
             yield 1
 
 
-@_checks("sympartitions round-tripped")
+@_checks("sympartition-roundtrip", "sympartitions round-tripped")
 def suite_roundtrip(max_n: int, b_list: tuple[int, ...]):
     """Round trip over every sympartition of total at most 30."""
     for N, b in product(range(7), range(9)):
@@ -284,7 +294,7 @@ def suite_roundtrip(max_n: int, b_list: tuple[int, ...]):
                 yield 1
 
 
-@_checks("memberships checked")
+@_checks("family-partition", "memberships checked")
 def suite_family_partition(max_n: int, b_list: tuple[int, ...]):
     for n, b in product(range(max_n + 1), b_list):
         seen: list[Bipartition] = []
@@ -301,7 +311,7 @@ def suite_family_partition(max_n: int, b_list: tuple[int, ...]):
         yield len(all_bips)
 
 
-@_checks("pairs checked")
+@_checks("dominance-stability", "pairs checked")
 def suite_dominance_stability(max_n: int, b_list: tuple[int, ...]):
     for n, b in product(range(max_n + 1), b_list):
         bips = enumerate_bipartitions(n)
@@ -313,7 +323,7 @@ def suite_dominance_stability(max_n: int, b_list: tuple[int, ...]):
         )
 
 
-@_checks("families checked")
+@_checks("asymptotic-singletons", "families checked")
 def suite_asymptotic(max_n: int, b_list: tuple[int, ...]):
     for n in range(max_n + 1):
         weights = {n} | {b for b in b_list if b > n - 1}
@@ -337,7 +347,7 @@ def _adjacent_family_pairs(max_n: int, b_list: tuple[int, ...]):
                 yield fam, families[j]
 
 
-@_checks("adjacent pairs checked")
+@_checks("adjacency-single-move", "adjacent pairs checked")
 def suite_single_move(max_n: int, b_list: tuple[int, ...]):
     for low, high in _adjacent_family_pairs(max_n, b_list):
         move = _single_move(low.kappa.entries, high.kappa.entries)
@@ -356,7 +366,7 @@ def suite_single_move(max_n: int, b_list: tuple[int, ...]):
         yield 1
 
 
-@_checks("frames checked")
+@_checks("frame-prefix-suffix-sandwich", "frames checked")
 def suite_frame(max_n: int, b_list: tuple[int, ...]):
     for low, high in _adjacent_family_pairs(max_n, b_list):
         lo, hi = low.kappa.entries, high.kappa.entries
@@ -394,26 +404,20 @@ def _window_escapes(lo: Parts, hi: Parts, i: int, j: int) -> Iterator[tuple[int,
                 yield k1, k2
 
 
-def suite_double_break(max_n: int, b_list: tuple[int, ...]) -> tuple[bool, str]:
-    checked = 0
-    applicable = 0
+@_checks("double-break", "of {seen} pairs in hypothesis, all passed")
+def suite_double_break(max_n: int, b_list: tuple[int, ...]):
     for low, high in _adjacent_family_pairs(max_n, b_list):
-        checked += 1
         fr = frame(low.kappa, high.kappa)
         try:
-            ok = verify_double_break(fr)
+            if not verify_double_break(fr):
+                yield f"fewer than two break points on {high.kappa.entries} frame [{fr.i},{fr.j}]"
         except PreconditionViolated:
-            continue
-        applicable += 1
-        if not ok:
-            return False, (
-                f"fewer than two break points on {high.kappa.entries} "
-                f"frame [{fr.i},{fr.j}]"
-            )
-    return True, f"{applicable} of {checked} pairs in hypothesis, all passed"
+            yield 0  # outside the lemma's hypothesis: seen, not checked
+        else:
+            yield 1
 
 
-@_checks("witnesses checked")
+@_checks("witness-soundness", "witnesses checked")
 def suite_witness(max_n: int, b_list: tuple[int, ...]):
     for n, b in product(range(max_n + 1), b_list):
         for a, c, plain, w in _cover_witnesses(n, b):
@@ -466,7 +470,7 @@ def _cover_witnesses(n: int, b: int):
 # order suites
 
 
-@_checks("comparable pairs checked")
+@_checks("a-monotonicity", "comparable pairs checked")
 def suite_a_monotone(max_n: int, b_list: tuple[int, ...]):
     for n, b in product(range(max_n + 1), b_list):
         fams = family_table(n, b).families
@@ -487,7 +491,7 @@ def suite_a_monotone(max_n: int, b_list: tuple[int, ...]):
             yield above.bit_count()
 
 
-@_checks("targets checked")
+@_checks("truncated-a-shift", "targets checked")
 def suite_truncated_shift(max_n: int, b_list: tuple[int, ...]):
     for b in b_list:
         for k in range(max_n):
@@ -503,7 +507,7 @@ def suite_truncated_shift(max_n: int, b_list: tuple[int, ...]):
                         yield 1
 
 
-@_checks("pairs checked")
+@_checks("typea-dominance", "pairs checked")
 def suite_typea(max_n: int, b_list: tuple[int, ...]):
     for n in range(max_n + 1):
         oracle = preceq_typeA_oracle(n)
@@ -519,7 +523,7 @@ def suite_typea(max_n: int, b_list: tuple[int, ...]):
                 yield f"type A a-value wrong at {p}"
 
 
-@_checks("ordered pairs checked")
+@_checks("preceq-matches-oracle", "ordered pairs checked")
 def suite_oracle_equivalence(max_n: int, b_list: tuple[int, ...]):
     for n, b in product(range(max_n + 1), b_list):
         oracle = preceq_oracle(n, b)
@@ -532,27 +536,8 @@ def suite_oracle_equivalence(max_n: int, b_list: tuple[int, ...]):
         )
 
 
-SUITES: tuple[tuple[str, Callable[[int, tuple[int, ...]], tuple[bool, str]]], ...] = (
-    ("partition-order-axioms", suite_partition_order),
-    ("transpose-anti-isomorphism", suite_transpose),
-    ("raising-moves", suite_box_moves),
-    ("overlap-statistics", suite_overlaps),
-    ("kappa-is-sympartition", suite_kappa_sympartition),
-    ("a-value-stability", suite_a_stability),
-    ("sympartition-roundtrip", suite_roundtrip),
-    ("family-partition", suite_family_partition),
-    ("dominance-stability", suite_dominance_stability),
-    ("asymptotic-singletons", suite_asymptotic),
-    ("adjacency-single-move", suite_single_move),
-    ("frame-prefix-suffix-sandwich", suite_frame),
-    ("double-break", suite_double_break),
-    ("witness-soundness", suite_witness),
-    ("a-monotonicity", suite_a_monotone),
-    ("truncated-a-shift", suite_truncated_shift),
-    ("typea-dominance", suite_typea),
-)
-
-ORACLE_SUITE = ("preceq-matches-oracle", suite_oracle_equivalence)
+SUITES: tuple[tuple[str, Suite], ...] = tuple(_DECLARED[:-1])
+ORACLE_SUITE = _DECLARED[-1]
 
 
 def run_suites(max_n: int, b_list: tuple[int, ...], oracle: bool = False) -> list[SuiteResult]:

@@ -574,7 +574,38 @@ def fresh(probe: str, *argv: str) -> str:
     ).stdout
 
 
-CORE = {"bsymbols", "bsymbols.cli", "bsymbols.errors", "bsymbols.partitions", "bsymbols.symbols"}
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "1|-", "--b", "0"],
+        ["avalues", "--n", "16", "--b", "3"],  # 106 KB, more than a pipe buffer
+        ["verify", "--max-n", "2", "--b-list", "0"],
+    ],
+    ids=["kappa", "avalues", "verify"],
+)
+def test_closed_stdout_exits_141_quietly(argv, buffered):
+    # a reader that closed the pipe before the process wrote: a buffered
+    # stdout fails at the flush, an unbuffered one at the first print
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from bsymbols.cli import main; sys.exit(main())", *argv],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+CORE ={"bsymbols", "bsymbols.cli", "bsymbols.errors", "bsymbols.partitions", "bsymbols.symbols"}
 
 
 def test_each_subcommand_loads_only_its_modules():

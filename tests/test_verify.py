@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from itertools import accumulate, product
 from pathlib import Path
 
@@ -132,6 +133,34 @@ def test_run_suites_all_pass_small():
     names = [r.name for r in results]
     assert names == sorted(names, key=names.index)  # stable, deterministic order
     assert names[-1] == "preceq-matches-oracle"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_declared_suites_are_the_benchmark_suites():
+    # the benchmark names one verify.<suite>.checks metric per suite, so a
+    # renamed or reordered suite would read 0 there without failing
+    sys.path.insert(0, str(PERFBENCH))
+    import run
+
+    declared = [name for name, _ in verify.SUITES + (verify.ORACLE_SUITE,)]
+    assert declared == list(run.SUITES)
+
+
+def test_every_suite_runs_under_the_one_runner():
+    suites = verify.SUITES + (verify.ORACLE_SUITE,)
+    assert list(suites) == verify._DECLARED
+    assert all(hasattr(fn, "__wrapped__") for _, fn in suites)
+    names = [name for name, _ in suites]
+    assert len(set(names)) == len(names)
+
+
+def test_double_break_counts_the_pairs_in_hypothesis():
+    assert verify.suite_double_break(7, (0, 3, 6)) == (
+        True,
+        "238 of 761 pairs in hypothesis, all passed",
+    )
 
 
 # subtly wrong versions of the suites' dependencies; each suite must fail
