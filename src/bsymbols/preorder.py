@@ -16,10 +16,10 @@ induction_targets and truncated_targets name the same targets as sets of
 bipartitions, read from the rank's family table.
 witness_step proves one dominance step adjacent and builds the elementary
 step certifying it with _witness, the one witness builder, which callers
-holding the pair's kappas and move call directly.  It transposes the pair
-at most once, computes the kappas of the pair it certifies once, and
-checks the witness on them with _witness_holds, the predicate behind
-witness_is_valid, which recomputes only kappa(nu); it raises
+holding the pair's own kappas and move call directly.  It certifies (a, c)
+on those kappas, or transposes the pair once and computes the kappas of
+(c', a') once, and checks the witness with _witness_holds, the predicate
+behind witness_is_valid, which recomputes only kappa(nu); it raises
 WitnessInvalid on a rejected core or on a witness failing it.
 """
 
@@ -98,28 +98,29 @@ def _witness(
 ) -> InductionWitness:
     """witness_step's construction, with the adjacency taken as given.
 
-    lo and hi are kappa(a) and kappa(c) at N = rank, and hi = up(lo, move).
-    They choose the branch, and in the plain one l and the core; the check
-    never reads them.  The kappas of the pair the witness certifies, (a, c)
-    or (c', a'), are computed once from the bipartitions: the transposed
-    branch reads l and the core off them, and both branches check the
-    witness on them with the predicate behind witness_is_valid.
+    lo and hi are the pair's own kappas, kappa(a) and kappa(c) at N = rank,
+    and hi = up(lo, move): witness_step takes them from _rank_kappas, chain
+    from kappa at the rank, and the witness suite from the family table.
+    They choose the branch.  The plain branch certifies (a, c), so it reads
+    l and the core off them and checks the witness on them; the transposed
+    branch certifies (c', a'), transposed once, and computes that pair's
+    kappas once, for l, the core and the check.  The check is the
+    predicate behind witness_is_valid, which recomputes kappa(nu).
     Raises WitnessInvalid, chained from the rejection, when the core is no
     sympartition, and unchained when the witness fails witness_is_valid.
     """
     if lo[move.k2 - 2] != lo[move.k2 - 1]:
-        kx, ky = _rank_kappas(a, c, b)
         l, transposed = move.k2 - 1, False
     else:
-        kx, ky = _rank_kappas(c.transpose(), a.transpose(), b)
-        hi, l, transposed = ky, _single_move(kx, ky).k1, True
+        lo, hi = _rank_kappas(c.transpose(), a.transpose(), b)
+        l, transposed = _single_move(lo, hi).k1, True
     n = a.rank
     try:
         nu = from_sympartition(_shift_largest(hi, l, -1), b, n, n - l)
     except (NotAPartition, NotSympartition, ValueError) as exc:
         raise WitnessInvalid(f"no witness for {a.text()} -> {c.text()}: {exc}") from exc
     w = InductionWitness(nu, l, transposed)
-    if not _witness_holds(w, kx, ky, b):
+    if not _witness_holds(w, lo, hi, b):
         raise WitnessInvalid(f"constructed witness fails its invariants: {w}")
     return w
 

@@ -78,14 +78,9 @@ class Kappa(NamedTuple):
     N: int
 
 
-def _nonzero(parts: Parts) -> Parts:
-    """parts without its trailing zeros; only a part list ending in 0 is copied."""
-    return normalize(parts) if parts and not parts[-1] else parts
-
-
 def min_admissible(bp: Bipartition) -> int:
     """Smallest N whose symbol rows accommodate every nonzero part."""
-    return max(len(_nonzero(bp.first)), len(_nonzero(bp.second)))
+    return max(len(normalize(bp.first)), len(normalize(bp.second)))
 
 
 def _admitted(bp: Bipartition, b: int, N: int | None) -> tuple[Parts, Parts, int]:
@@ -96,7 +91,7 @@ def _admitted(bp: Bipartition, b: int, N: int | None) -> tuple[Parts, Parts, int
     """
     if b < 0:
         raise ValueError("weight b must be >= 0")
-    first, second = _nonzero(bp.first), _nonzero(bp.second)
+    first, second = normalize(bp.first), normalize(bp.second)
     least = max(len(first), len(second))
     if N is None:
         N = least
@@ -163,11 +158,11 @@ def n_stat(k: Kappa | Sequence[int]) -> int:
 def a_value(bp: Bipartition, b: int) -> int:
     """Value of the a-function on the representation labelled by bp.
 
-    Computed at the minimal admissible N; the result does not depend on
-    that choice (checked by the verification suites).
+    Computed at the minimal admissible N, kappa's default; the result does
+    not depend on that choice (checked by the verification suites).
     """
-    N = min_admissible(bp)
-    return n_stat(kappa(bp, b, N)) - _empty_n_stat(b, N)
+    k = kappa(bp, b)
+    return n_stat(k) - _empty_n_stat(b, k.N)
 
 
 def _empty_n_stat(b: int, N: int) -> int:

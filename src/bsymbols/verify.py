@@ -19,10 +19,11 @@ comes from preorder._witness, the one witness builder, given the table's
 kappas; its WitnessInvalid is the suite's counterexample.  The per-cover
 suites do each construction once: _witness reads a member pair only
 through the cover and the kappas of the pair it certifies, so it runs
-once per distinct input, and every pair is still counted.  The frame
-suite decides each window move from lo's neighbours (is it legal) and the
-prefix-sum slack P_hi - P_lo (does it stay at or below hi), with no vector
-built.  a-monotonicity decides each family's row with one AND against the
+once per plain cover, keyed on the cover, and once per distinct pair of
+transposes' kappas in a transposed one, and every pair is still counted.
+The frame suite decides each window move from lo's neighbours (is it
+legal) and the prefix-sum slack P_hi - P_lo (does it stay at or below
+hi), with no vector built.  a-monotonicity decides each family's row with one AND against the
 mask of the families of larger a.
 """
 
@@ -438,13 +439,15 @@ def _cover_witnesses(n: int, b: int):
     its InductionWitness, or the suite's name for its WitnessInvalid.
     _witness reads a pair only through the cover's lo, hi and move and the
     kappas of the pair it certifies, (a, c) or (c', a') when transposed.
-    Every member's transpose is a member too, so both kappas come from the
-    family table, and _witness runs once per distinct input of a cover;
-    every pair with that input gets its result.
+    In a plain cover those are lo and hi, every member's kappa being its
+    family's, so the cover is the key; in a transposed one they are the
+    transposes' kappas, which the family table gives too, every member's
+    transpose being a member.  _witness runs once per distinct key of a
+    cover, and every pair with that key gets its result.
     """
     families = family_table(n, b).families
     entries = {m: fam.kappa.entries for fam in families for m in fam.members}
-    kappas = {m: (k, entries[m.transpose()]) for m, k in entries.items()}
+    transposed = {m: entries[m.transpose()] for m in entries}
     for low, ups in zip(families, _poset(n, b).cover_up):
         lo = low.kappa.entries
         for j in ups:
@@ -454,8 +457,7 @@ def _cover_witnesses(n: int, b: int):
             plain = lo[move.k2 - 2] != lo[move.k2 - 1]
             built: dict[tuple[Parts, Parts], InductionWitness | str] = {}
             for a, c in product(low.members, high.members):
-                (ka, ta), (kc, tc) = kappas[a], kappas[c]
-                key = (ka, kc) if plain else (tc, ta)
+                key = (lo, hi) if plain else (transposed[c], transposed[a])
                 if key not in built:
                     try:
                         built[key] = _witness(a, c, b, lo, hi, move)

@@ -247,9 +247,9 @@ def test_witness_builder_transposes_the_pair_at_most_once(monkeypatch):
 
 
 def test_witness_builder_computes_three_kappas(monkeypatch):
-    # kappa(nu) and the two kappas of the pair it certifies, (a, c) or
-    # (c', a'), each once: the transposed branch reads l and the core off
-    # the same two kappas its check uses
+    # kappa(nu) once; the plain branch certifies (a, c) on the kappas it is
+    # given, and the transposed one computes the kappas of (c', a') once,
+    # reading l and the core off the same two kappas its check uses
     calls = []
     original = symbols.kappa
 
@@ -264,7 +264,7 @@ def test_witness_builder_computes_three_kappas(monkeypatch):
     for args in pairs:
         calls.clear()
         w = preorder._witness(*args)
-        assert len(calls) == 3, (args, calls)
+        assert len(calls) == (3 if w.transposed else 1), (args, calls)
         branches[w.transposed] += 1
     assert branches[False] > 0 and branches[True] > 0
 

@@ -278,6 +278,17 @@ def test_bipartition_validates_what_the_tuple_does_not():
             Bipartition.parse(text)
 
 
+def test_raw_bipartition_with_trailing_zeros_reads_as_normalized():
+    # the NamedTuple constructor keeps trailing zeros; admissibility and
+    # every per-element answer ignore them
+    raw, normal = Bipartition((1, 0, 0), ()), Bipartition((1,), ())
+    assert min_admissible(raw) == 1
+    for b in (0, 1, 3):
+        assert symbol(raw, b) == symbol(normal, b)
+        assert kappa(raw, b) == kappa(normal, b)
+        assert a_value(raw, b) == a_value(normal, b)
+
+
 def test_bipartition_text_round_trip():
     for text in ("5,1|2,2,1", "-|1,1,1", "-|-", "3|-"):
         assert Bipartition.parse(text).text() == text

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import sys
-from itertools import accumulate, product
+from itertools import accumulate, groupby, product
 from pathlib import Path
 
 import pytest
@@ -16,11 +16,12 @@ from bsymbols.partitions import (
     _single_move,
     dominance_leq,
     dominance_lt,
+    overlap_count,
     padded,
     partitions_of,
     up,
 )
-from bsymbols.preorder import InductionWitness
+from bsymbols.preorder import InductionWitness, induction_targets
 from bsymbols.symbols import (
     Bipartition,
     _rank_kappas,
@@ -28,6 +29,7 @@ from bsymbols.symbols import (
     from_sympartition,
     is_sympartition,
     kappa,
+    n_stat,
 )
 from bsymbols.typea import a_value_typeA
 from bsymbols.verify import _sympartitions_by_rank, run_suites
@@ -259,153 +261,285 @@ def double_break_window_one_short(fr):
     return verify_double_break(fr._replace(j=fr.j - 1))
 
 
+def dominance_on_first_parts(p, q):
+    return p[:1] <= q[:1]
+
+
+def runs_of_at_least(p, l):
+    """overlap_count counting the runs of length at least l, not exactly l."""
+    return sum(1 for _, run in groupby(p) if sum(1 for _ in run) >= l)
+
+
+def f_stat_short_row_one_long(b, N, n):
+    """f_stat with the short row's staircase summed up to N, not N - 1."""
+    return n + N * (N + 1) // 2 + (N + b) * (N + b - 1) // 2
+
+
+def a_value_without_empty_offset(bp, b):
+    return n_stat(kappa(bp, b))
+
+
+def rank_two_missing_its_last(n):
+    bips = enumerate_bipartitions(n)
+    return bips[:-1] if n == 2 else bips
+
+
+def table_one_weight_low(n, b):
+    return family_table(n, max(b - 1, 0))
+
+
+def table_with_first_a_raised(n, b):
+    """family_table, but the first family at (2, 0) has a-value 100."""
+    table = family_table(n, b)
+    if (n, b) != (2, 0):
+        return table
+    first, *rest = table.families
+    return table._replace(families=(first._replace(a=100), *rest))
+
+
+SEEDED_FAULTS = [
+    (
+        "verify.dominance_rows",
+        rank_rows_flipped_at("1,1|-", "2|-", 0, 2),
+        verify.suite_oracle_equivalence,
+        2,
+        (0,),
+        "oracle and dominance disagree at 1,1|- vs 2|- (n=2, b=0)",
+    ),
+    # flipped at N = n + 1 only, so the rows at N = n and N = n + 1 differ
+    (
+        "verify.dominance_rows",
+        rank_rows_flipped_at("-|1,1", "1|1", 1, 3),
+        verify.suite_dominance_stability,
+        2,
+        (1,),
+        "dominance depends on N at -|1,1 vs 1|1 (n=2, b=1)",
+    ),
+    (
+        "verify.dominance_rows",
+        typea_rows_flipped_at((2, 1), (1, 1, 1)),
+        verify.suite_typea,
+        3,
+        (),
+        "type A oracle differs from dominance at (2, 1), (1, 1, 1)",
+    ),
+    (
+        "preorder.InductionWitness",
+        witness_l_off_by_one,
+        verify.suite_witness,
+        2,
+        (1,),
+        "invalid witness for -|1 -> 1|-",
+    ),
+    (
+        "verify.frame",
+        frame_i_off_by_one,
+        verify.suite_frame,
+        2,
+        (1,),
+        "prefix/suffix equality fails for (1, 1, 0) -> (2, 0, 0)",
+    ),
+    (
+        "verify.frame",
+        frame_j_off_by_one,
+        verify.suite_frame,
+        2,
+        (1,),
+        "sandwich fails for (1, 1, 0) -> (2, 0, 0)",
+    ),
+    (
+        "verify.accumulate",
+        prefix_sums_one_late,
+        verify.suite_frame,
+        2,
+        (0,),
+        "window move (1,2) escapes (2, 2, 0, 0) -> (3, 1, 0, 0)",
+    ),
+    (
+        "verify.verify_double_break",
+        double_break_window_one_short,
+        verify.suite_double_break,
+        2,
+        (1,),
+        "fewer than two break points on (2, 0, 0) frame [1,2]",
+    ),
+    (
+        "verify._single_move",
+        move_k2_off_by_one,
+        verify.suite_single_move,
+        2,
+        (1,),
+        "move Up(1,3) outside frame [1,2] for (1, 1, 0) -> (2, 0, 0)",
+    ),
+    # an illegal move inside the frame is a counterexample, not an exception
+    (
+        "verify._single_move",
+        move_k1_off_by_one,
+        verify.suite_single_move,
+        2,
+        (1,),
+        "move does not reproduce (3, 2, 1, 0, 0)",
+    ),
+    (
+        "verify.a_value_typeA",
+        a_value_typea_wrong_once,
+        verify.suite_typea,
+        0,
+        (),
+        "type A a-value wrong at (2, 1)",
+    ),
+    (
+        "verify.from_sympartition",
+        preimage_rejects((1, 1, 0), 1, 1, 1),
+        verify.suite_roundtrip,
+        0,
+        (),
+        "generator/predicate disagree at (1, 1, 0) (1,1,1)",
+    ),
+    # the preimage of (1, 1, 0) at (b, N) = (1, 1) is -|1; -|- has the wrong rank
+    (
+        "verify.from_sympartition",
+        preimage_replaced((1, 1, 0), 1, 1, 1, "-|-"),
+        verify.suite_roundtrip,
+        0,
+        (),
+        "bad preimage -|- for (1, 1, 0) (1,1,1)",
+    ),
+    # 1|- has the right rank but kappa (2, 0, 0)
+    (
+        "verify.from_sympartition",
+        preimage_replaced((1, 1, 0), 1, 1, 1, "1|-"),
+        verify.suite_roundtrip,
+        0,
+        (),
+        "round trip fails at (1, 1, 0) (1,1,1)",
+    ),
+    # every vector of rank >= 2 at (b, N) = (1, 2) is rejected: the first
+    # reported is the first of rank 2 in the search order
+    (
+        "verify.from_sympartition",
+        preimage_rejects_from_rank(1, 2, 2),
+        verify.suite_roundtrip,
+        0,
+        (),
+        "generator/predicate disagree at (4, 1, 1, 0, 0) (1,2,2)",
+    ),
+    (
+        "verify.dominance_leq",
+        dominance_on_first_parts,
+        verify.suite_partition_order,
+        4,
+        (),
+        "antisymmetry fails at (2, 2), (2, 1, 1)",
+    ),
+    # the identity in place of the conjugate is still an involution
+    (
+        "verify.transpose",
+        lambda p: p,
+        verify.suite_transpose,
+        2,
+        (),
+        "anti-isomorphism fails at (2,), (1, 1)",
+    ),
+    (
+        "verify.dominance_lt",
+        lambda p, q: dominance_lt(q, p),
+        verify.suite_box_moves,
+        3,
+        (),
+        "up does not raise strictly: (1, 1) Up(1,2)",
+    ),
+    (
+        "verify.overlap_count",
+        runs_of_at_least,
+        verify.suite_overlaps,
+        3,
+        (),
+        "overlap weight mismatch at (1, 1, 1)",
+    ),
+    # equal to f_stat at N = 0 only
+    (
+        "verify.f_stat",
+        f_stat_short_row_one_long,
+        verify.suite_kappa_sympartition,
+        1,
+        (0,),
+        "|kappa| != f at -|- b=0 N=1",
+    ),
+    (
+        "verify.a_value",
+        a_value_without_empty_offset,
+        verify.suite_a_stability,
+        2,
+        (0, 1),
+        "a-value depends on N at -|1,1 b=0",
+    ),
+    (
+        "verify.enumerate_bipartitions",
+        rank_two_missing_its_last,
+        verify.suite_family_partition,
+        2,
+        (0,),
+        "families do not partition rank 2 at b=0",
+    ),
+    # 1|- and -|1 share a family at b = 0
+    (
+        "verify.family_table",
+        table_one_weight_low,
+        verify.suite_asymptotic,
+        1,
+        (),
+        "family of size 2 at n=1, b=1",
+    ),
+    # every increment of l entries, not only of the l largest
+    (
+        "verify.truncated_targets",
+        induction_targets,
+        verify.suite_truncated_shift,
+        3,
+        (0,),
+        "a shift wrong: -|- -> 1,1|- l=2 b=0",
+    ),
+    (
+        "verify.family_table",
+        table_with_first_a_raised,
+        verify.suite_a_monotone,
+        2,
+        (0,),
+        "a increases along dominance: (2, 2, 0, 0) -> (3, 1, 0, 0) (n=2, b=0)",
+    ),
+]
+SEEDED_IDS = [
+    "preceq",
+    "dominance-stability",
+    "typea-dominance",
+    "witness_step",
+    "frame-prefix-suffix",
+    "frame-sandwich",
+    "frame-window",
+    "double-break",
+    "single_move-k2",
+    "single_move-k1",
+    "a_value_typeA",
+    "roundtrip-profile",
+    "roundtrip-bad-preimage",
+    "roundtrip-fails",
+    "roundtrip-first-of-rank",
+    "partition-order",
+    "transpose",
+    "raising-moves",
+    "overlap",
+    "kappa-sympartition",
+    "a-stability",
+    "family-partition",
+    "asymptotic",
+    "truncated-shift",
+    "a-monotonicity",
+]
+
+
 @pytest.mark.parametrize(
-    "name, wrong, suite, max_n, b_list, detail",
-    [
-        (
-            "verify.dominance_rows",
-            rank_rows_flipped_at("1,1|-", "2|-", 0, 2),
-            verify.suite_oracle_equivalence,
-            2,
-            (0,),
-            "oracle and dominance disagree at 1,1|- vs 2|- (n=2, b=0)",
-        ),
-        # flipped at N = n + 1 only, so the rows at N = n and N = n + 1 differ
-        (
-            "verify.dominance_rows",
-            rank_rows_flipped_at("-|1,1", "1|1", 1, 3),
-            verify.suite_dominance_stability,
-            2,
-            (1,),
-            "dominance depends on N at -|1,1 vs 1|1 (n=2, b=1)",
-        ),
-        (
-            "verify.dominance_rows",
-            typea_rows_flipped_at((2, 1), (1, 1, 1)),
-            verify.suite_typea,
-            3,
-            (),
-            "type A oracle differs from dominance at (2, 1), (1, 1, 1)",
-        ),
-        (
-            "preorder.InductionWitness",
-            witness_l_off_by_one,
-            verify.suite_witness,
-            2,
-            (1,),
-            "invalid witness for -|1 -> 1|-",
-        ),
-        (
-            "verify.frame",
-            frame_i_off_by_one,
-            verify.suite_frame,
-            2,
-            (1,),
-            "prefix/suffix equality fails for (1, 1, 0) -> (2, 0, 0)",
-        ),
-        (
-            "verify.frame",
-            frame_j_off_by_one,
-            verify.suite_frame,
-            2,
-            (1,),
-            "sandwich fails for (1, 1, 0) -> (2, 0, 0)",
-        ),
-        (
-            "verify.accumulate",
-            prefix_sums_one_late,
-            verify.suite_frame,
-            2,
-            (0,),
-            "window move (1,2) escapes (2, 2, 0, 0) -> (3, 1, 0, 0)",
-        ),
-        (
-            "verify.verify_double_break",
-            double_break_window_one_short,
-            verify.suite_double_break,
-            2,
-            (1,),
-            "fewer than two break points on (2, 0, 0) frame [1,2]",
-        ),
-        (
-            "verify._single_move",
-            move_k2_off_by_one,
-            verify.suite_single_move,
-            2,
-            (1,),
-            "move Up(1,3) outside frame [1,2] for (1, 1, 0) -> (2, 0, 0)",
-        ),
-        # an illegal move inside the frame is a counterexample, not an exception
-        (
-            "verify._single_move",
-            move_k1_off_by_one,
-            verify.suite_single_move,
-            2,
-            (1,),
-            "move does not reproduce (3, 2, 1, 0, 0)",
-        ),
-        (
-            "verify.a_value_typeA",
-            a_value_typea_wrong_once,
-            verify.suite_typea,
-            0,
-            (),
-            "type A a-value wrong at (2, 1)",
-        ),
-        (
-            "verify.from_sympartition",
-            preimage_rejects((1, 1, 0), 1, 1, 1),
-            verify.suite_roundtrip,
-            0,
-            (),
-            "generator/predicate disagree at (1, 1, 0) (1,1,1)",
-        ),
-        # the preimage of (1, 1, 0) at (b, N) = (1, 1) is -|1; -|- has the wrong rank
-        (
-            "verify.from_sympartition",
-            preimage_replaced((1, 1, 0), 1, 1, 1, "-|-"),
-            verify.suite_roundtrip,
-            0,
-            (),
-            "bad preimage -|- for (1, 1, 0) (1,1,1)",
-        ),
-        # 1|- has the right rank but kappa (2, 0, 0)
-        (
-            "verify.from_sympartition",
-            preimage_replaced((1, 1, 0), 1, 1, 1, "1|-"),
-            verify.suite_roundtrip,
-            0,
-            (),
-            "round trip fails at (1, 1, 0) (1,1,1)",
-        ),
-        # every vector of rank >= 2 at (b, N) = (1, 2) is rejected: the first
-        # reported is the first of rank 2 in the search order
-        (
-            "verify.from_sympartition",
-            preimage_rejects_from_rank(1, 2, 2),
-            verify.suite_roundtrip,
-            0,
-            (),
-            "generator/predicate disagree at (4, 1, 1, 0, 0) (1,2,2)",
-        ),
-    ],
-    ids=[
-        "preceq",
-        "dominance-stability",
-        "typea-dominance",
-        "witness_step",
-        "frame-prefix-suffix",
-        "frame-sandwich",
-        "frame-window",
-        "double-break",
-        "single_move-k2",
-        "single_move-k1",
-        "a_value_typeA",
-        "roundtrip-profile",
-        "roundtrip-bad-preimage",
-        "roundtrip-fails",
-        "roundtrip-first-of-rank",
-    ],
+    "name, wrong, suite, max_n, b_list, detail", SEEDED_FAULTS, ids=SEEDED_IDS
 )
 def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n, b_list, detail):
     assert suite(max_n, b_list)[0] is True
@@ -413,6 +547,12 @@ def test_suite_fails_with_counterexample(monkeypatch, name, wrong, suite, max_n,
     ok, got = suite(max_n, b_list)
     assert ok is False
     assert got == detail
+
+
+def test_every_declared_suite_has_a_seeded_fault():
+    # a suite that no fault can fail checks nothing, yet prints PASS
+    seeded = {case[2] for case in SEEDED_FAULTS}
+    assert [name for name, suite in verify._DECLARED if suite not in seeded] == []
 
 
 def covers(n, b):
