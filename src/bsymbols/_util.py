@@ -20,24 +20,24 @@ def generated_preorder(n, elements_of, vector, lower_rows, transpose) -> tuple[i
     """Bitset rows of the preorder on elements_of(n) generated by induction steps.
 
     Row i is the set of j with element i related to element j, and
-    vector(x, n) is x's vector at size n.  Each row starts as the mask of
-    the rank-n elements sharing its element's vector (a family, or a
-    singleton).  For each rank k < n and l = n - k, nu in elements_of(k)
-    induces the elements whose vector adds 1 to l entries of vector(nu, n)
-    and truncates to those whose vector adds 1 to its l largest.  When nu
-    is related to nu' at rank k (lower_rows(k)), every induced target of
-    nu is related to every truncated target of nu', and their transposes
-    the other way round.  One Warshall pass then closes the rows under
-    transitivity.
+    vector(x, n) is x's vector at size n.  Each row starts as its own
+    element, so the closure derives the families (elements sharing a
+    vector); the vectors only locate the steps' targets.  For each rank
+    k < n and l = n - k, nu in elements_of(k) induces the elements whose
+    vector adds 1 to l entries of vector(nu, n) and truncates to those
+    whose vector adds 1 to its l largest.  When nu is related to nu' at
+    rank k (lower_rows(k)), every induced target of nu is related to every
+    truncated target of nu', and their transposes the other way round.
+    One Warshall pass then closes the rows under transitivity.
     """
     elements = elements_of(n)
     index = {x: i for i, x in enumerate(elements)}
     tr = [index[transpose(x)] for x in elements]
-    vectors = [vector(x, n) for x in elements]
     masks: dict = {}
-    for i, v in enumerate(vectors):
+    for i, x in enumerate(elements):
+        v = vector(x, n)
         masks[v] = masks.get(v, 0) | 1 << i
-    rows = [masks[v] for v in vectors]
+    rows = [1 << i for i in range(len(elements))]
     for k in range(n):
         l = n - k
         bases = [vector(nu, n) for nu in elements_of(k)]

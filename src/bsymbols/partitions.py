@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, zip_longest
 from operator import ge
 from typing import Iterator, NamedTuple, Sequence
 
@@ -88,7 +88,7 @@ def dominance_leq(p: Sequence[int], q: Sequence[int]) -> bool:
     if size(p) != size(q):
         raise SizeMismatch(f"|{tuple(p)}| = {size(p)} but |{tuple(q)}| = {size(q)}")
     sp = sq = 0
-    for a, b in zip(padded(p, max(len(p), len(q))), padded(q, max(len(p), len(q)))):
+    for a, b in zip_longest(p, q, fillvalue=0):
         sp += a
         sq += b
         if sp > sq:

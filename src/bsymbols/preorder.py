@@ -5,7 +5,7 @@ n = k + l and bipartitions nu, nu' of k already related at rank k, every
 bipartition whose kappa arises from kappa(nu) by incrementing l entries is
 placed below every bipartition whose kappa arises from kappa(nu') by
 incrementing its l largest entries; a second kind of step does the same
-through transposition.  Members of one family are mutually related.
+through transposition.  No family is assumed: the families are derived.
 
 preceq decides the relation through dominance of kappa vectors, which is
 what the order amounts to; preceq_oracle builds the relation from the
@@ -146,9 +146,8 @@ def preceq(a: Bipartition, c: Bipartition, b: int) -> bool:
 class PreceqOracle(GeneratedPreorder):
     """The relation generated by the elementary steps at one rank."""
 
-    def __init__(self, n: int, b: int, bipartitions: tuple[Bipartition, ...], rows: tuple[int, ...]):
+    def __init__(self, n: int, bipartitions: tuple[Bipartition, ...], rows: tuple[int, ...]):
         super().__init__(n, bipartitions, rows, Bipartition.text)
-        self.b = b
         self.bipartitions = bipartitions
 
 
@@ -167,4 +166,4 @@ def preceq_oracle(n: int, b: int) -> PreceqOracle:
     """Build the relation from the elementary steps alone, bottom-up in rank."""
     if n < 0 or b < 0:
         raise ValueError("n and b must be >= 0")
-    return PreceqOracle(n, b, enumerate_bipartitions(n), _oracle_rows(n, b))
+    return PreceqOracle(n, enumerate_bipartitions(n), _oracle_rows(n, b))

@@ -547,12 +547,13 @@ def test_kernel_matches_the_callback_kernel_type_a():
         assert _typea_rows(n) == callback_typea_rows(n)
 
 
-def test_kernel_relates_equal_vectors_that_no_step_reaches():
-    # x and y share a vector that no step from the rank-0 element e reaches,
-    # so only the equal-vector start relates them; z is e's one target
+def test_kernel_leaves_equal_vectors_unrelated_when_no_step_reaches_them():
+    # x and y share a vector that no step from the rank-0 element e reaches;
+    # each row starts as its own element, so only the steps could relate
+    # them, and z is e's one target
     elements = {0: ("e",), 1: ("x", "y", "z")}
     vectors = {"e": (0, 0), "x": (3, 3), "y": (3, 3), "z": (1, 0)}
     rows = generated_preorder(
         1, elements.__getitem__, lambda x, n: vectors[x], lambda k: (1,), lambda x: x
     )
-    assert rows == (0b011, 0b011, 0b100)
+    assert rows == (0b001, 0b010, 0b100)

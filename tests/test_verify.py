@@ -19,9 +19,10 @@ from bsymbols.partitions import (
     overlap_count,
     padded,
     partitions_of,
+    transpose,
     up,
 )
-from bsymbols.preorder import InductionWitness, induction_targets
+from bsymbols.preorder import InductionWitness, induction_targets, truncated_targets
 from bsymbols.symbols import (
     Bipartition,
     _rank_kappas,
@@ -297,6 +298,41 @@ def table_with_first_a_raised(n, b):
     return table._replace(families=(first._replace(a=100), *rest))
 
 
+def dominance_without(low, high):
+    """dominance_leq, but False at (low, high) alone: no longer transitive."""
+
+    def wrong(p, q):
+        return (p, q) != (low, high) and dominance_leq(p, q)
+
+    return wrong
+
+
+def up_keeping_the_low_box(p, move):
+    """up, but the box is added to row k1 without being taken from row k2."""
+    q = list(up(p, move))
+    q[move.k2 - 1] += 1
+    return tuple(q)
+
+
+def overlaps_with_a_trailing_zero(p, l):
+    """overlap_count, reading p as if one 0 followed its last entry."""
+    return overlap_count(tuple(p) + (0,), l)
+
+
+def sympartition_without_doubles(p, b, N, n):
+    """is_sympartition, but no value may be repeated."""
+    return is_sympartition(p, b, N, n) and len(set(p)) == len(p)
+
+
+def witness_with_the_case_flipped(nu, l, transposed):
+    return InductionWitness(nu, l, not transposed)
+
+
+def truncated_targets_of_one_box(nu, l, b):
+    """truncated_targets, but empty past l = 1."""
+    return truncated_targets(nu, l, b) if l == 1 else set()
+
+
 SEEDED_FAULTS = [
     (
         "verify.dominance_rows",
@@ -508,6 +544,102 @@ SEEDED_FAULTS = [
         (0,),
         "a increases along dominance: (2, 2, 0, 0) -> (3, 1, 0, 0) (n=2, b=0)",
     ),
+    (
+        "verify.dominance_leq",
+        dominance_lt,
+        verify.suite_partition_order,
+        2,
+        (),
+        "reflexivity fails at ()",
+    ),
+    # (1, 1, 1) <= (2, 1) <= (3,) with the last step of the chain dropped
+    (
+        "verify.dominance_leq",
+        dominance_without((1, 1, 1), (3,)),
+        verify.suite_partition_order,
+        4,
+        (),
+        "transitivity fails at (1, 1, 1), (2, 1), (3,)",
+    ),
+    # the conjugate without its last part sends (1,) to ()
+    (
+        "verify.transpose",
+        lambda p: transpose(p)[:-1],
+        verify.suite_transpose,
+        2,
+        (),
+        "involution fails at (1,)",
+    ),
+    (
+        "verify.up",
+        up_keeping_the_low_box,
+        verify.suite_box_moves,
+        3,
+        (),
+        "size not preserved: (1, 1) Up(1,2)",
+    ),
+    # a down that moves no box
+    (
+        "verify.down",
+        lambda q, move: q,
+        verify.suite_box_moves,
+        3,
+        (),
+        "down(up(p)) != p at (1, 1) Up(1,2)",
+    ),
+    # no zero run is ever counted at l >= 2 in a normalized partition, so
+    # only the appended smaller part shows the fault
+    (
+        "verify.overlap_count",
+        overlaps_with_a_trailing_zero,
+        verify.suite_overlaps,
+        3,
+        (),
+        "overlap instability at (1,), l=2",
+    ),
+    (
+        "verify.is_sympartition",
+        sympartition_without_doubles,
+        verify.suite_kappa_sympartition,
+        2,
+        (0,),
+        "kappa not a sympartition at -|- b=0 N=1",
+    ),
+    # kappa at b = 0 in place of b = 1 has one entry too few
+    (
+        "verify.family_table",
+        table_one_weight_low,
+        verify.suite_family_partition,
+        1,
+        (1,),
+        "member -|- has wrong kappa (n=0, b=1)",
+    ),
+    (
+        "verify.family_table",
+        table_with_first_a_raised,
+        verify.suite_family_partition,
+        2,
+        (0,),
+        "member -|2 has wrong a (n=2, b=0)",
+    ),
+    # the check behind _witness does not read the case, so only the
+    # suite's comparison with the cover's move can see it
+    (
+        "preorder.InductionWitness",
+        witness_with_the_case_flipped,
+        verify.suite_witness,
+        2,
+        (1,),
+        "wrong case for -|1 -> 1|- b=1",
+    ),
+    (
+        "verify.truncated_targets",
+        truncated_targets_of_one_box,
+        verify.suite_truncated_shift,
+        3,
+        (0,),
+        "empty truncated family for -|- l=2 b=0",
+    ),
 ]
 SEEDED_IDS = [
     "preceq",
@@ -535,6 +667,17 @@ SEEDED_IDS = [
     "asymptotic",
     "truncated-shift",
     "a-monotonicity",
+    "partition-order-reflexivity",
+    "partition-order-transitivity",
+    "transpose-involution",
+    "raising-moves-size",
+    "raising-moves-down",
+    "overlap-instability",
+    "kappa-not-sympartition",
+    "family-partition-kappa",
+    "family-partition-a",
+    "witness-case",
+    "truncated-shift-empty",
 ]
 
 
