@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import groupby, zip_longest
-from operator import ge
+from operator import ge, index
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import NoSingleMove, NotAPartition, SizeMismatch
@@ -42,8 +42,16 @@ class BoxMove(_BoxMoveFields):
 
 
 def as_partition(seq: Sequence[int]) -> Parts:
-    """Validate seq as a partition and return it as a tuple, zeros kept."""
-    parts = tuple(map(int, seq))
+    """Validate seq as a partition and return it as a tuple, zeros kept.
+
+    Every part must be an integer (operator.index): a float or a string
+    part raises NotAPartition instead of being truncated or parsed.
+    """
+    ints = map(index, seq)  # a seq that is not iterable stays a TypeError
+    try:
+        parts = tuple(ints)
+    except TypeError:
+        raise NotAPartition(f"non-integer part in {seq!r}") from None
     if parts and parts[-1] < 0:
         raise NotAPartition(f"negative part in {parts}")
     if not all(map(ge, parts, parts[1:])):

@@ -12,16 +12,16 @@ and kappa is the multiset of all 2N+b row entries sorted decreasingly.
 Equality of kappa vectors cuts out the families, and their dominance order
 is the order studied by the rest of the package.  The a-function is the
 weighted sum n_stat(kappa) normalized so that the empty bipartition gets 0.
-The kappa fiber is one private generator: it reads the value counts of a
-sympartition once, which fix its symbol rows up to which row takes each
-free singleton, and yields every preimage, the canonical one first.
-from_sympartition takes that first preimage and family_members all of them.
+The value counts of a sympartition fix its symbol rows up to which row
+takes each free singleton, and one walk over the values builds the
+preimage of a choice: _fiber yields every choice's, the canonical one
+first, and from_sympartition builds the canonical one alone.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import add
+from itertools import combinations, count
+from operator import add, mul
 from typing import Iterator, NamedTuple, Sequence, Set
 
 from . import partitions as pt
@@ -108,28 +108,31 @@ def symbol(bp: Bipartition, b: int, N: int | None = None) -> Symbol:
     gives rows no bipartition has.
     """
     first, second, N = _admitted(bp, b, N)
-    return Symbol(b, N, _row(second, N), _row(first, N + b))
+    return Symbol(b, N, tuple(_row(second, N)[::-1]), tuple(_row(first, N + b)[::-1]))
 
 
-def _row(parts: Parts, c: int) -> Parts:
-    """The increasing row l_j - j + c, j = c..1, of a normalized partition with at most c parts.
+def _row(parts: Parts, c: int) -> list[int]:
+    """The row l_j - j + c, j = 1..c, largest first, of a normalized partition with at most c parts.
 
-    Its zero parts give the staircase 0..c-len-1; part l_j adds c - j to it.
+    Part l_j adds l_j to c - j; the missing parts leave the staircase c-len-1, ..., 0.
     """
-    start = c - len(parts)
-    return (*range(start), *map(add, reversed(parts), range(start, c)))
+    return [*map(add, parts, range(c - 1, -1, -1)), *range(c - 1 - len(parts), -1, -1)]
 
 
 def kappa(bp: Bipartition, b: int, N: int | None = None) -> Kappa:
     """All 2N+b symbol entries of bp sorted decreasingly.
 
-    bp's components are not validated: build bp with bipartition() or
+    The two rows come largest first, so the sort merges two runs.  bp's
+    components are not validated: build bp with bipartition() or
     Bipartition.parse, which do, since a raw Bipartition of non-partitions
     gives a vector no bipartition has (Bipartition((1, 2), ()) at b = 0
     gives (2, 2, 1, 0)).
     """
     first, second, N = _admitted(bp, b, N)
-    return Kappa(tuple(sorted(_row(first, N + b) + _row(second, N), reverse=True)), b, N)
+    entries = _row(first, N + b)
+    entries += _row(second, N)
+    entries.sort(reverse=True)
+    return Kappa(tuple(entries), b, N)
 
 
 def _rank_kappas(a: Bipartition, c: Bipartition, b: int) -> tuple[Parts, Parts]:
@@ -151,8 +154,7 @@ def f_stat(b: int, N: int, n: int) -> int:
 
 def n_stat(k: Kappa | Sequence[int]) -> int:
     """Weighted sum of the entries, position i (1-based) weighted by i - 1."""
-    entries = k.entries if isinstance(k, Kappa) else tuple(k)
-    return sum(i * v for i, v in enumerate(entries))
+    return sum(map(mul, k.entries if isinstance(k, Kappa) else k, count()))
 
 
 def a_value(bp: Bipartition, b: int) -> int:
@@ -189,7 +191,7 @@ def _profile(p: Sequence[int], b: int, N: int, n: int) -> dict[int, int] | None:
     if length > len(parts):
         counts[0] = counts.get(0, 0) + length - len(parts)
     # with no value thrice, length - len(counts) is the number of doubles
-    if max(counts.values(), default=0) > 2 or length - len(counts) > N:
+    if counts and max(counts.values()) > 2 or length - len(counts) > N:
         return None
     return counts if all(map(counts.__contains__, range(b))) else None
 
@@ -206,6 +208,55 @@ def is_sympartition(p: Sequence[int], b: int, N: int, n: int) -> bool:
     return _profile(p, b, N, n) is not None
 
 
+def _free_singletons(
+    p: Sequence[int], b: int, N: int, n: int
+) -> tuple[dict[int, int], list[int], int]:
+    """The value counts of p, its free singletons and how many of them row2 takes.
+
+    The counts run largest value first, the free singletons smallest first.
+    Raises NotSympartition when p is no (b, N, n)-sympartition.
+    """
+    counts = _profile(p, b, N, n)
+    if counts is None:
+        raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
+    free = [v for v, c in reversed(counts.items()) if c == 1 and v >= b]
+    to_row2 = len(counts) - N - b  # row2 is every doubled value and these free singletons
+    assert 0 <= to_row2 <= len(free)
+    return counts, free, to_row2
+
+
+def _split(counts: dict[int, int], low: Sequence[int], b: int, N: int) -> Bipartition:
+    """The preimage whose row2 takes the free singletons low (increasing).
+
+    One walk over the values, largest first, appends each value's part to
+    row1, row2 or both: in a strictly decreasing row, an entry v with e
+    entries below it has part v - e, and the parts 0 at the bottom of a
+    row are left out.
+    """
+    first: list[int] = []
+    second: list[int] = []
+    below1, below2 = N + b - 1, N - 1  # entries below the next one of each row
+    k = len(low) - 1  # low[k] is the largest free singleton row2 still takes
+    for v, c in counts.items():
+        if c == 2:
+            if v > below1:
+                first.append(v - below1)
+            if v > below2:
+                second.append(v - below2)
+            below1 -= 1
+            below2 -= 1
+        elif k >= 0 and v == low[k]:
+            if v > below2:
+                second.append(v - below2)
+            below2 -= 1
+            k -= 1
+        else:
+            if v > below1:
+                first.append(v - below1)
+            below1 -= 1
+    return Bipartition(tuple(first), tuple(second))
+
+
 def _fiber(p: Sequence[int], b: int, N: int, n: int) -> Iterator[Bipartition]:
     """Every bipartition of n whose kappa at (b, N) is p, the canonical one first.
 
@@ -213,50 +264,22 @@ def _fiber(p: Sequence[int], b: int, N: int, n: int) -> Iterator[Bipartition]:
     value puts one copy in each row, the staircase values 0..b-1 sit at the
     bottom of row1, and the remaining singletons of value >= b are split
     between the top of row1 and row2.  The first split keeps the largest
-    free singletons in row1.  Each split walks the values once, largest
-    first, and appends each value's part to row1, row2 or both: in a
-    strictly decreasing row, an entry v with e entries below it has part
-    v - e, and the parts 0 at the bottom of a row are left out.
+    free singletons in row1.
     """
-    counts = _profile(p, b, N, n)
-    if counts is None:
-        raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
-    values = sorted(counts, reverse=True)
-    free = [v for v in reversed(values) if counts[v] == 1 and v >= b]
-    to_row2 = len(counts) - N - b  # row2 is every doubled value and these free singletons
-    assert 0 <= to_row2 <= len(free)
+    counts, free, to_row2 = _free_singletons(p, b, N, n)
     for low in combinations(free, to_row2):
-        first: list[int] = []
-        second: list[int] = []
-        below1, below2 = N + b - 1, N - 1  # entries below the next one of each row
-        k = to_row2 - 1  # low[k] is the largest free singleton row2 still takes
-        for v in values:
-            if counts[v] == 2:
-                if v > below1:
-                    first.append(v - below1)
-                if v > below2:
-                    second.append(v - below2)
-                below1 -= 1
-                below2 -= 1
-            elif k >= 0 and v == low[k]:
-                if v > below2:
-                    second.append(v - below2)
-                below2 -= 1
-                k -= 1
-            else:
-                if v > below1:
-                    first.append(v - below1)
-                below1 -= 1
-        yield Bipartition(tuple(first), tuple(second))
+        yield _split(counts, low, b, N)
 
 
 def from_sympartition(p: Sequence[int], b: int, N: int, n: int) -> Bipartition:
     """One bipartition of n whose kappa at (b, N) equals p.
 
-    The canonical choice keeps the largest free singletons in row1, so the
-    result is deterministic; the full fiber is family_members.
+    The canonical choice, the fiber's first, keeps the largest free
+    singletons in row1 and gives row2 the smallest, so the result is
+    deterministic; the full fiber is family_members.
     """
-    return next(_fiber(p, b, N, n))
+    counts, free, to_row2 = _free_singletons(p, b, N, n)
+    return _split(counts, free[:to_row2], b, N)
 
 
 def family_members(p: Sequence[int], b: int, N: int, n: int) -> Set[Bipartition]:

@@ -13,18 +13,20 @@ yielded; suite_double_break yields 0 for a cover outside the lemma.
 SUITES lists the suites in declaration order; ORACLE_SUITE is declared
 last.  The three rank-wide comparisons (the oracle, N-stability, type A)
 compare whole bitset rows from adjacency.dominance_rows, not pairs.  The
-round trip checks from_sympartition on every generated vector; one search
-per (b, N) generates the vectors of all its ranks at once.  Each witness
-comes from preorder._witness, the one witness builder, given the table's
-kappas; its WitnessInvalid is the suite's counterexample.  The per-cover
-suites do each construction once: _witness reads a member pair only
-through the cover and the kappas of the pair it certifies, so it runs
-once per plain cover, keyed on the cover, and once per distinct pair of
-transposes' kappas in a transposed one, and every pair is still counted.
-The frame suite decides each window move from lo's neighbours (is it
-legal) and the prefix-sum slack P_hi - P_lo (does it stay at or below
-hi), with no vector built.  a-monotonicity decides each family's row with one AND against the
-mask of the families of larger a.
+round trip checks from_sympartition on every generated vector and counts
+each rank's bucket once it is checked; one search per (b, N) generates the
+vectors of all its ranks at once, recording each vector where its last
+value completes it.  Each witness comes from preorder._witness, the one
+witness builder, given the table's kappas; its WitnessInvalid is the
+suite's counterexample.  The per-cover suites do each construction once:
+_witness reads a member pair only through the cover and the kappas of the
+pair it certifies, so it runs once per plain cover, keyed on the cover,
+and once per distinct pair of transposes' kappas in a transposed one, and
+every pair is still counted.  The frame suite decides each window move
+from lo's neighbours (is it legal) and the prefix-sum slack P_hi - P_lo
+(does it stay at or below hi), with no vector built.  a-monotonicity
+decides each family's row with one AND against the mask of the families of
+larger a.
 """
 
 from __future__ import annotations
@@ -83,18 +85,15 @@ def _sympartitions_by_rank(b: int, N: int, hi: int) -> list[list[Parts]]:
     whose total is f(b,N,n) for some n <= hi: values come largest first,
     a branch stops once it skips one below b, keeps a slot for each still
     to come, and is cut when no total in [f(b,N,0), f(b,N,hi)] can still
-    be reached.  Bucket n holds the rank-n vectors in the order of the
-    search, which is the order of a search for that rank alone.
+    be reached.  A vector is recorded where its last value completes it,
+    with no call for the empty rest.  Bucket n holds the rank-n vectors in
+    the order of the search, which is the order of a search for that rank
+    alone.
     """
 
     def rec(slots: int, top: int, total: int, doubles_left: int, acc: list[int]) -> None:
-        # total is what the vector still lacks to reach f(b, N, hi)
-        if slots == 0:
-            if total <= hi:
-                buckets[hi - total].append(tuple(acc))
-            return
-        # (multiplicity, slots left)
-        moves = ((1, slots - 1),)
+        # total is what the vector still lacks to reach f(b, N, hi); slots > 0
+        moves = ((1, slots - 1),)  # (multiplicity, slots left)
         if doubles_left and slots >= 2:
             moves = ((2, slots - 2),) + moves
         for v in range(min(top, total), -1, -1):
@@ -109,6 +108,9 @@ def _sympartitions_by_rank(b: int, N: int, hi: int) -> list[list[Parts]]:
                 low = least[rest_slots]
                 if not low <= rest_total <= rest_slots * (v - 1) - low + hi:
                     continue
+                if rest_slots == 0:  # complete, and rest_total <= hi: rank hi - rest_total
+                    buckets[hi - rest_total].append((*acc, *[v] * mult))
+                    continue
                 acc.extend([v] * mult)
                 rec(rest_slots, v - 1, rest_total, doubles_left - (mult == 2), acc)
                 del acc[-mult:]
@@ -117,8 +119,11 @@ def _sympartitions_by_rank(b: int, N: int, hi: int) -> list[list[Parts]]:
     # most twice; below a cap t their greatest is s*t - least[s]
     least = [s // 2 * (s // 2 - 1 + s % 2) for s in range(2 * N + b)]
     buckets: list[list[Parts]] = [[] for _ in range(hi + 1)]
-    target = f_stat(b, N, hi)
-    rec(2 * N + b, target, target, N, [])
+    if N == b == 0:  # the one vector of length 0 is empty, of rank 0
+        buckets[0].append(())
+    else:
+        target = f_stat(b, N, hi)
+        rec(2 * N + b, target, target, N, [])
     return buckets
 
 
@@ -292,7 +297,7 @@ def suite_roundtrip(max_n: int, b_list: tuple[int, ...]):
                     yield f"bad preimage {bp.text()} for {p} ({b},{N},{n})"
                 if kappa(bp, b, N).entries != p:
                     yield f"round trip fails at {p} ({b},{N},{n})"
-                yield 1
+            yield len(bucket)
 
 
 @_checks("family-partition", "memberships checked")

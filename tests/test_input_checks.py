@@ -6,6 +6,7 @@ from bsymbols.adjacency import frame
 from bsymbols.errors import NotAdjacent, NotAPartition, NotComparable, SizeMismatch
 from bsymbols.families import enumerate_bipartitions, family_table
 from bsymbols.partitions import (
+    as_partition,
     break_points,
     gap,
     overlap_count,
@@ -14,7 +15,14 @@ from bsymbols.partitions import (
     partitions_of,
 )
 from bsymbols.preorder import induction_targets, preceq_oracle, truncated_targets
-from bsymbols.symbols import EMPTY, Bipartition, Kappa
+from bsymbols.symbols import (
+    EMPTY,
+    Bipartition,
+    Kappa,
+    bipartition,
+    from_sympartition,
+    is_sympartition,
+)
 from bsymbols.typea import (
     adjacent_single_box,
     pieri_targets,
@@ -52,6 +60,31 @@ INPUT_CHECKS = {
         lambda: parse_partition("x"),
         NotAPartition,
         "cannot parse partition 'x'",
+    ),
+    "as_partition-float": (
+        lambda: as_partition([2.5, 1]),
+        NotAPartition,
+        "non-integer part in [2.5, 1]",
+    ),
+    "as_partition-str": (
+        lambda: as_partition("321"),
+        NotAPartition,
+        "non-integer part in '321'",
+    ),
+    "bipartition-float": (
+        lambda: bipartition((2.0,), (1,)),
+        NotAPartition,
+        "non-integer part in (2.0,)",
+    ),
+    "is_sympartition-str": (
+        lambda: is_sympartition("110", 1, 1, 1),
+        NotAPartition,
+        "non-integer part in '110'",
+    ),
+    "from_sympartition-float": (
+        lambda: from_sympartition((1, 1.0, 0), 1, 1, 1),
+        NotAPartition,
+        "non-integer part in (1, 1.0, 0)",
     ),
     "Bipartition.parse": (
         lambda: Bipartition.parse("1"),

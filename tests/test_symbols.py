@@ -377,18 +377,22 @@ def fiber_by_comprehensions(p, b, N, n):
         yield Bipartition(first, second)
 
 
+def roundtrip_vectors():
+    """(p, b, N, n) for every vector the round-trip suite generates."""
+    for N, b in product(range(7), range(9)):
+        base = f_stat(b, N, 0)
+        if base <= 30:
+            for n, bucket in enumerate(_sympartitions_by_rank(b, N, 30 - base)):
+                for p in bucket:
+                    yield p, b, N, n
+
+
 def test_fiber_matches_the_comprehension_body_in_order():
     # every vector the round-trip suite generates
     vectors = 0
-    for N in range(7):
-        for b in range(9):
-            base = f_stat(b, N, 0)
-            if base > 30:
-                continue
-            for n, bucket in enumerate(_sympartitions_by_rank(b, N, 30 - base)):
-                for p in bucket:
-                    assert list(_fiber(p, b, N, n)) == list(fiber_by_comprehensions(p, b, N, n))
-                    vectors += 1
+    for p, b, N, n in roundtrip_vectors():
+        assert list(_fiber(p, b, N, n)) == list(fiber_by_comprehensions(p, b, N, n))
+        vectors += 1
     assert vectors == 26128
     # every family kappa of rank n <= 7, where fibers have several members
     largest = 0
@@ -401,6 +405,35 @@ def test_fiber_matches_the_comprehension_body_in_order():
                 assert sorted(got) == sorted(fam.members), (p, b, n)
                 largest = max(largest, len(got))
     assert largest > 2
+
+
+def test_from_sympartition_is_the_first_of_the_fiber():
+    # from_sympartition builds the canonical split without the fiber's generator
+    vectors = 0
+    for p, b, N, n in roundtrip_vectors():
+        assert from_sympartition(p, b, N, n) == next(_fiber(p, b, N, n)), (p, b, N, n)
+        vectors += 1
+    assert vectors == 26128
+    families = 0
+    for n in range(8):
+        for b in range(n + 2):
+            for fam in family_table(n, b).families:
+                p = fam.kappa.entries
+                assert from_sympartition(p, b, n, n) == next(_fiber(p, b, n, n)), (p, b, n)
+                families += 1
+    assert families == 1407
+
+
+def test_n_stat_matches_the_enumerate_definition():
+    checked = 0
+    for n in range(7):
+        for b in range(n + 2):
+            for bp in enumerate_bipartitions(n):
+                k = kappa(bp, b, n)
+                expected = sum(i * v for i, v in enumerate(k.entries))
+                assert n_stat(k) == n_stat(k.entries) == n_stat(list(k.entries)) == expected
+                checked += 1
+    assert checked == sum(len(enumerate_bipartitions(n)) * (n + 2) for n in range(7))
 
 
 def symbol_rows_by_definition(bp, b, N):

@@ -121,6 +121,25 @@ def test_range_search_buckets_match_unpruned_in_order():
     assert cells == 870
 
 
+# sha256 of the round-trip suite's buckets, every rank of its 36 (N, b)
+# cells in the suite's order, each bucket in the order of the search
+ROUNDTRIP_BUCKETS_SHA256 = "f3d41d994d14a9024f0196c9cf850d988ccd1f705743d52df2309e8ad8314c99"
+
+
+def test_range_search_order_is_pinned():
+    digest = hashlib.sha256()
+    cells = 0
+    for N, b in product(range(7), range(9)):
+        base = f_stat(b, N, 0)
+        if base > 30:
+            continue
+        cells += 1
+        for n, bucket in enumerate(_sympartitions_by_rank(b, N, 30 - base)):
+            digest.update(f"{N} {b} {n} {bucket}\n".encode())
+    assert cells == 36
+    assert digest.hexdigest() == ROUNDTRIP_BUCKETS_SHA256
+
+
 def test_generator_yields_padded_sorted_vectors():
     for vec in _sympartitions_by_rank(2, 2, 4)[4]:
         assert len(vec) == 6
