@@ -77,9 +77,10 @@ def cmd_kappa(args: argparse.Namespace) -> int:
 
 
 def cmd_families(args: argparse.Namespace) -> int:
-    from .families import family_table
+    from .families import _texts, family_table
 
     table = family_table(args.n, args.b)
+    texts = _texts(args.n)
     if args.format == "json":
         doc = {
             "n": table.n,
@@ -89,7 +90,7 @@ def cmd_families(args: argparse.Namespace) -> int:
                 {
                     "kappa": list(f.kappa.entries),
                     "a": f.a,
-                    "members": [m.text() for m in f.members],
+                    "members": list(map(texts.__getitem__, f.members)),
                 }
                 for f in table.families
             ],
@@ -99,7 +100,7 @@ def cmd_families(args: argparse.Namespace) -> int:
         print(
             "\n".join(
                 f"{format_partition(f.kappa.entries)}\t{f.a}\t{len(f.members)}\t"
-                + ";".join(m.text() for m in f.members)
+                + ";".join(map(texts.__getitem__, f.members))
                 for f in table.families
             )
         )
@@ -107,13 +108,12 @@ def cmd_families(args: argparse.Namespace) -> int:
 
 
 def cmd_avalues(args: argparse.Namespace) -> int:
-    from .families import family_table
+    from .families import _texts, family_table
 
     table = family_table(args.n, args.b)
-    rows = sorted(
-        (m.text(), f.a) for f in table.families for m in f.members
-    )
-    print("\n".join(f"{text}\t{a}" for text, a in rows))
+    a = {m: f.a for f in table.families for m in f.members}
+    # the text table is in textual order, and no two members share a text
+    print("\n".join(f"{text}\t{a[m]}" for m, text in _texts(args.n).items()))
     return 0
 
 

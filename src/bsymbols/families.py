@@ -31,6 +31,17 @@ def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
     return tuple(sorted(bips, key=Bipartition.text))
 
 
+@lru_cache(maxsize=None)
+def _texts(n: int) -> dict[Bipartition, str]:
+    """The textual form of every bipartition of rank n, in textual order.
+
+    One table per rank, shared by every weight, so that families and
+    avalues queries of a rank render no member again; chain and hasse
+    print no member list and build none.
+    """
+    return {bp: bp.text() for bp in enumerate_bipartitions(n)}
+
+
 class Family(NamedTuple):
     kappa: Kappa
     members: tuple[Bipartition, ...]  # sorted by textual form

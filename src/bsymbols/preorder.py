@@ -17,10 +17,12 @@ bipartitions, read from the rank's family table.
 witness_step proves one dominance step adjacent and builds the elementary
 step certifying it with _witness, the one witness builder, which callers
 holding the pair's own kappas and move call directly.  It certifies (a, c)
-on those kappas, or transposes the pair once and computes the kappas of
-(c', a') once, and checks the witness with _witness_holds, the predicate
-behind witness_is_valid, which recomputes only kappa(nu); it raises
-WitnessInvalid on a rejected core or on a witness failing it.
+on those kappas, or (c', a') on their duals, which are the transposes'
+kappas since tensoring with the sign reverses the order, and checks the
+witness with _witness_holds, the predicate behind witness_is_valid, which
+recomputes only kappa(nu); it raises WitnessInvalid on a rejected core or
+on a witness failing it.  witness_is_valid itself recomputes every kappa
+through real transposes, so it stays an independent check.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .adjacency import adjacency_move
 from .errors import NotAPartition, NotSympartition, WitnessInvalid
 from .families import enumerate_bipartitions, family_table
 from .partitions import BoxMove, Parts, _is_increment, _shift_largest, _single_move, dominance_leq
-from .symbols import Bipartition, _rank_kappas, from_sympartition, kappa
+from .symbols import Bipartition, _dual, _rank_kappas, from_sympartition, kappa
 
 
 class InductionWitness(NamedTuple):
@@ -103,18 +105,19 @@ def _witness(
     from kappa at the rank, and the witness suite from the family table.
     They choose the branch.  The plain branch certifies (a, c), so it reads
     l and the core off them and checks the witness on them; the transposed
-    branch certifies (c', a'), transposed once, and computes that pair's
-    kappas once, for l, the core and the check.  The check is the
-    predicate behind witness_is_valid, which recomputes kappa(nu).
+    branch certifies (c', a'), whose kappas at N = rank are the duals of
+    hi and lo (transposition reflects and complements kappa), so it
+    transposes nothing and computes no kappa of the pair.  The check is
+    the predicate behind witness_is_valid, which recomputes kappa(nu).
     Raises WitnessInvalid, chained from the rejection, when the core is no
     sympartition, and unchained when the witness fails witness_is_valid.
     """
+    n = (len(lo) - b) // 2
     if lo[move.k2 - 2] != lo[move.k2 - 1]:
         l, transposed = move.k2 - 1, False
     else:
-        lo, hi = _rank_kappas(c.transpose(), a.transpose(), b)
+        lo, hi = _dual(hi, b, n), _dual(lo, b, n)
         l, transposed = _single_move(lo, hi).k1, True
-    n = a.rank
     try:
         nu = from_sympartition(_shift_largest(hi, l, -1), b, n, n - l)
     except (NotAPartition, NotSympartition, ValueError) as exc:

@@ -80,18 +80,24 @@ class Kappa(NamedTuple):
 
 def min_admissible(bp: Bipartition) -> int:
     """Smallest N whose symbol rows accommodate every nonzero part."""
-    return max(len(normalize(bp.first)), len(normalize(bp.second)))
+    return _admitted(bp, 0, None)[2]
 
 
 def _admitted(bp: Bipartition, b: int, N: int | None) -> tuple[Parts, Parts, int]:
     """bp's components without trailing zeros, and N checked against the least admissible value.
 
     N defaults to that least value.  Raises ValueError for b < 0 and
-    NotAdmissible for N below the least value.
+    NotAdmissible for N below the least value.  A component that is empty
+    or ends in a nonzero part, as every validated one does, is read as it
+    is; only a raw one with trailing zeros is normalized.
     """
     if b < 0:
         raise ValueError("weight b must be >= 0")
-    first, second = normalize(bp.first), normalize(bp.second)
+    first, second = bp
+    if first and not first[-1]:
+        first = normalize(first)
+    if second and not second[-1]:
+        second = normalize(second)
     least = max(len(first), len(second))
     if N is None:
         N = least
@@ -145,6 +151,30 @@ def _rank_kappas(a: Bipartition, c: Bipartition, b: int) -> tuple[Parts, Parts]:
     if c.rank != n:
         raise RankMismatch(f"ranks differ: {a.text()} has {n}, {c.text()} has {c.rank}")
     return kappa(a, b, n).entries, kappa(c, b, n).entries
+
+
+def _dual(entries: Sequence[int], b: int, N: int) -> Parts:
+    """The reflected complement of a kappa vector in [0, 2N + b - 1].
+
+    Each value 2N + b - 1 - y is taken 2 - mult(y) times, mult(y) being
+    how often entries takes y.  For N at least the rank, this is the kappa
+    of the transpose: when entries is kappa(bp, b, N).entries, it is
+    kappa(bp.transpose(), b, N).entries, tensoring with the sign reversing
+    the order.  witness-soundness checks that on every member of its grid.
+    """
+    top = 2 * N + b - 1
+    left = [2] * (top + 1)
+    for y in entries:
+        left[y] -= 1
+    dual: list[int] = []
+    v = top
+    for c in left:
+        if c == 2:
+            dual += v, v
+        elif c:
+            dual.append(v)
+        v -= 1
+    return tuple(dual)
 
 
 def f_stat(b: int, N: int, n: int) -> int:

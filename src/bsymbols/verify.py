@@ -19,12 +19,12 @@ vectors of all its ranks at once, recording each vector where its last
 value completes it.  Each witness comes from preorder._witness, the one
 witness builder, given the table's kappas; its WitnessInvalid is the
 suite's counterexample.  The per-cover suites do each construction once:
-_witness reads a member pair only through the cover and the kappas of the
-pair it certifies, so it runs once per plain cover, keyed on the cover,
-and once per distinct pair of transposes' kappas in a transposed one, and
-every pair is still counted.  The frame suite decides each window move
-from lo's neighbours (is it legal) and the prefix-sum slack P_hi - P_lo
-(does it stay at or below hi), with no vector built.  a-monotonicity
+_witness reads a member pair only through the cover, certifying a
+transposed cover on the duals of its kappas, so it runs once per cover
+and every pair is still counted; the suite checks each member's dual
+against the table's kappa of its transpose.  The frame suite decides
+each window move from lo's neighbours (is it legal) and the prefix-sum
+slack P_hi - P_lo (does it stay at or below hi), with no vector built.  a-monotonicity
 decides each family's row with one AND against the mask of the families of
 larger a.
 """
@@ -54,10 +54,11 @@ from .partitions import (
     transpose,
     up,
 )
-from .preorder import InductionWitness, _witness, preceq_oracle, truncated_targets
+from .preorder import _witness, preceq_oracle, truncated_targets
 from .symbols import (
     EMPTY,
     Bipartition,
+    _dual,
     a_value,
     f_stat,
     from_sympartition,
@@ -426,6 +427,15 @@ def suite_double_break(max_n: int, b_list: tuple[int, ...]):
 @_checks("witness-soundness", "witnesses checked")
 def suite_witness(max_n: int, b_list: tuple[int, ...]):
     for n, b in product(range(max_n + 1), b_list):
+        # a transposed witness is certified on duals: each must be the
+        # table's kappa of the transpose, every member's transpose being a member
+        families = family_table(n, b).families
+        entries = {m: fam.kappa.entries for fam in families for m in fam.members}
+        for fam in families:
+            dual = _dual(fam.kappa.entries, b, n)
+            for m in fam.members:
+                if entries[m.transpose()] != dual:
+                    yield f"kappa duality fails at {m.text()} (n={n}, b={b})"
         for a, c, plain, w in _cover_witnesses(n, b):
             if isinstance(w, str):
                 yield f"{w} for {a.text()} -> {c.text()}"
@@ -442,17 +452,12 @@ def _cover_witnesses(n: int, b: int):
     then in member order.  plain is whether the cover's move takes
     _witness's plain branch, and witness is what _witness gives the pair:
     its InductionWitness, or the suite's name for its WitnessInvalid.
-    _witness reads a pair only through the cover's lo, hi and move and the
-    kappas of the pair it certifies, (a, c) or (c', a') when transposed.
-    In a plain cover those are lo and hi, every member's kappa being its
-    family's, so the cover is the key; in a transposed one they are the
-    transposes' kappas, which the family table gives too, every member's
-    transpose being a member.  _witness runs once per distinct key of a
-    cover, and every pair with that key gets its result.
+    _witness reads a pair only through the cover's lo, hi and move: it
+    certifies (a, c) on lo and hi, or (c', a') on their duals.  So the
+    cover is the key in both branches: _witness runs once per cover, and
+    every pair of the cover gets its result.
     """
     families = family_table(n, b).families
-    entries = {m: fam.kappa.entries for fam in families for m in fam.members}
-    transposed = {m: entries[m.transpose()] for m in entries}
     for low, ups in zip(families, _poset(n, b).cover_up):
         lo = low.kappa.entries
         for j in ups:
@@ -460,17 +465,12 @@ def _cover_witnesses(n: int, b: int):
             hi = high.kappa.entries
             move = _single_move(lo, hi)
             plain = lo[move.k2 - 2] != lo[move.k2 - 1]
-            built: dict[tuple[Parts, Parts], InductionWitness | str] = {}
+            try:
+                built = _witness(low.members[0], high.members[0], b, lo, hi, move)
+            except WitnessInvalid as exc:  # chained when the core was rejected
+                built = "core not a sympartition" if exc.__cause__ else "invalid witness"
             for a, c in product(low.members, high.members):
-                key = (lo, hi) if plain else (transposed[c], transposed[a])
-                if key not in built:
-                    try:
-                        built[key] = _witness(a, c, b, lo, hi, move)
-                    except WitnessInvalid as exc:  # chained when the core was rejected
-                        built[key] = (
-                            "core not a sympartition" if exc.__cause__ else "invalid witness"
-                        )
-                yield a, c, plain, built[key]
+                yield a, c, plain, built
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,23 @@ import sys
 
 import bsymbols
 from bsymbols.adjacency import _poset
-from bsymbols.families import enumerate_bipartitions, family_table
+from bsymbols.families import _texts, enumerate_bipartitions, family_table
 from bsymbols.partitions import partitions_of
 from bsymbols.preorder import _oracle_rows, preceq_oracle
 from bsymbols.typea import _typea_rows, preceq_typeA_oracle
 
-CACHES = (family_table, _poset, _oracle_rows, _typea_rows, enumerate_bipartitions, partitions_of)
+CACHES = (
+    family_table,
+    _poset,
+    _oracle_rows,
+    _typea_rows,
+    enumerate_bipartitions,
+    _texts,
+    partitions_of,
+)
 
 
-def test_the_six_caches_are_every_cache_of_the_package():
+def test_the_listed_caches_are_every_cache_of_the_package():
     found = {
         id(value)
         for name, mod in list(sys.modules.items())
@@ -26,6 +34,7 @@ def test_clear_caches_empties_every_cache():
     poset = _poset(5, 2)
     oracle = preceq_oracle(4, 1)
     typea = preceq_typeA_oracle(4)
+    texts = _texts(5)
     assert all(c.cache_info().currsize > 0 for c in CACHES)
     bsymbols.clear_caches()
     assert [c.cache_info().currsize for c in CACHES] == [0] * len(CACHES)
@@ -34,3 +43,4 @@ def test_clear_caches_empties_every_cache():
     assert _poset(5, 2) == poset
     assert preceq_oracle(4, 1).rows == oracle.rows
     assert preceq_typeA_oracle(4).rows == typea.rows
+    assert _texts(5) == texts

@@ -458,6 +458,43 @@ def test_commands_byte_identical_across_runs(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["families", "--n", "7", "--b", "2"],
+        ["families", "--n", "7", "--b", "2", "--format", "json"],
+        ["avalues", "--n", "7", "--b", "2"],
+    ],
+    ids=["families-tsv", "families-json", "avalues"],
+)
+def test_rank_tables_print_the_same_with_the_text_table_cold_warm_and_cleared(capsys, argv):
+    # the member texts come from one table per rank, shared by every b
+    import bsymbols
+    from bsymbols.families import _texts, family_table
+
+    bsymbols.clear_caches()
+    cold = run(capsys, *argv)
+    assert _texts.cache_info().currsize == 1
+    warm = run(capsys, *argv)
+    bsymbols.clear_caches()
+    run(capsys, "avalues", "--n", "7", "--b", "5")  # the table warmed at another b
+    other_b = run(capsys, *argv)
+    bsymbols.clear_caches()
+    cleared = run(capsys, *argv)
+    assert cold == warm == other_b == cleared
+    assert cold[0] == 0 and cold[2] == ""
+    # (text, a) of every bipartition, each rendered afresh, in textual order
+    rows = sorted((m.text(), f.a) for f in family_table(7, 2).families for m in f.members)
+    if argv[0] == "avalues":
+        assert cold[1] == "".join(f"{text}\t{a}\n" for text, a in rows)
+    elif "json" in argv:
+        members = [m for f in json.loads(cold[1])["families"] for m in f["members"]]
+        assert sorted(members) == [text for text, _ in rows]
+    else:
+        members = [m for line in cold[1].splitlines() for m in line.split("\t")[3].split(";")]
+        assert sorted(members) == [text for text, _ in rows]
+
+
+@pytest.mark.parametrize(
     "argv, code",
     [
         (["kappa", "1|2", "--b", "1"], 0),

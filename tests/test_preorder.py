@@ -235,21 +235,23 @@ def test_witness_builder_transposes_the_pair_at_most_once(monkeypatch):
         calls.append(bp)
         return original(bp)
 
+    # the transposed branch reads the kappas of (c', a') as the duals of the
+    # given ones, so neither branch transposes anything
     pairs = list(adjacent_member_pairs(5))
     monkeypatch.setattr(Bipartition, "transpose", counted)
     seen = set()
     for args in pairs:
         calls.clear()
         w = preorder._witness(*args)
-        assert len(calls) == (2 if w.transposed else 0)
+        assert calls == []
         seen.add(w.transposed)
     assert seen == {False, True}
 
 
-def test_witness_builder_computes_three_kappas(monkeypatch):
-    # kappa(nu) once; the plain branch certifies (a, c) on the kappas it is
-    # given, and the transposed one computes the kappas of (c', a') once,
-    # reading l and the core off the same two kappas its check uses
+def test_witness_builder_computes_one_kappa(monkeypatch):
+    # kappa(nu) once, on either branch: the plain branch certifies (a, c) on
+    # the kappas it is given, and the transposed one certifies (c', a') on
+    # their duals, reading l and the core off the same two kappas its check uses
     calls = []
     original = symbols.kappa
 
@@ -264,7 +266,7 @@ def test_witness_builder_computes_three_kappas(monkeypatch):
     for args in pairs:
         calls.clear()
         w = preorder._witness(*args)
-        assert len(calls) == (3 if w.transposed else 1), (args, calls)
+        assert len(calls) == 1, (args, calls)
         branches[w.transposed] += 1
     assert branches[False] > 0 and branches[True] > 0
 
@@ -281,7 +283,7 @@ def reference_witness_holds(w, x, y, b):
 
 
 def reference_witness(a, c, b, lo, hi, move):
-    """The builder before it computed the certified pair's kappas once."""
+    """The builder before it read the certified pair's kappas as duals: real transposes."""
     if lo[move.k2 - 2] != lo[move.k2 - 1]:
         x, y, l, transposed = a, c, move.k2 - 1, False
     else:
@@ -300,11 +302,13 @@ def reference_witness(a, c, b, lo, hi, move):
 
 
 def test_witness_builder_matches_the_reference_builder():
-    checked = 0
-    for args in adjacent_member_pairs(5):
-        assert preorder._witness(*args) == reference_witness(*args), args
-        checked += 1
-    assert checked > 0
+    # every adjacent member pair for n <= 8 and b <= n + 1, both branches
+    branches = Counter()
+    for args in adjacent_member_pairs(8):
+        w = preorder._witness(*args)
+        assert w == reference_witness(*args), args
+        branches[w.transposed] += 1
+    assert branches[False] > 0 and branches[True] > 0
 
 
 @pytest.mark.parametrize("transposed", [False, True])

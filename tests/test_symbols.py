@@ -19,6 +19,7 @@ from bsymbols.partitions import (
 from bsymbols.symbols import (
     EMPTY,
     Bipartition,
+    _dual,
     _empty_n_stat,
     _fiber,
     _profile,
@@ -267,6 +268,19 @@ def test_transpose_reflects_and_complements_kappa():
                 assert Counter(kappa(bp.transpose(), b, N).entries) == expected, (bp, b, N)
                 cases += 1
     assert cases == 23532
+
+
+def test_dual_is_the_transposes_kappa():
+    # the transposed witness reads kappa(bp') off kappa(bp) alone: for every
+    # bipartition of n <= 8, every b <= n + 3 and b = 2n + 3, and N >= n
+    cases = 0
+    for n in range(9):
+        for bp, b in product(enumerate_bipartitions(n), sorted({*range(n + 4), 2 * n + 3})):
+            for N in (n, n + 1, n + 3):
+                got = _dual(kappa(bp, b, N).entries, b, N)
+                assert got == kappa(bp.transpose(), b, N).entries, (bp, b, N)
+                cases += 1
+    assert cases == 15333
 
 
 def test_bipartition_validates_what_the_tuple_does_not():

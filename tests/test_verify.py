@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bsymbols import cli, preorder, verify
+from bsymbols import cli, preorder, symbols, verify
 from bsymbols._util import iter_bits
 from bsymbols.adjacency import _poset, dominance_rows, frame, verify_double_break
 from bsymbols.errors import NotAPartition, NotSympartition, WitnessInvalid
@@ -347,6 +347,12 @@ def witness_with_the_case_flipped(nu, l, transposed):
     return InductionWitness(nu, l, not transposed)
 
 
+def dual_unreflected(entries, b, N):
+    """The complement of kappa in [0, 2N + b - 1] without the reflection."""
+    top = 2 * N + b - 1
+    return tuple(sorted((top - v for v in symbols._dual(entries, b, N)), reverse=True))
+
+
 def truncated_targets_of_one_box(nu, l, b):
     """truncated_targets, but empty past l = 1."""
     return truncated_targets(nu, l, b) if l == 1 else set()
@@ -659,6 +665,16 @@ SEEDED_FAULTS = [
         (0,),
         "empty truncated family for -|- l=2 b=0",
     ),
+    # the builder's own check reads the duals it certifies on, so only the
+    # suite's comparison with the table's kappa of each transpose can see it
+    (
+        "verify._dual",
+        dual_unreflected,
+        verify.suite_witness,
+        2,
+        (1,),
+        "kappa duality fails at 1|- (n=1, b=1)",
+    ),
 ]
 SEEDED_IDS = [
     "preceq",
@@ -697,6 +713,7 @@ SEEDED_IDS = [
     "family-partition-a",
     "witness-case",
     "truncated-shift-empty",
+    "witness-duality",
 ]
 
 
@@ -739,9 +756,9 @@ def per_pair_witnesses(low, high, b):
 
 def test_suite_witness_builds_once_per_distinct_input(monkeypatch):
     # every member pair is counted; _witness runs once per distinct input,
-    # that is the cover with the kappas of the pair it certifies, and checks
-    # its witness once; and each pair gets the witness _witness builds for
-    # it when called directly
+    # that is the cover with the kappas of the pair it certifies (one per
+    # cover, by the duality), and checks its witness once; and each pair
+    # gets the witness _witness builds for it when called directly
     b_list = tuple(range(7))
     keys, pairs = set(), 0
     for n, b in product(range(6), b_list):
@@ -798,6 +815,7 @@ def test_cover_witnesses_read_kappas_from_the_table(monkeypatch):
     monkeypatch.setattr(verify, "kappa", no_kappa)
     for n, b in product(range(7), range(8)):
         assert all(not isinstance(w, str) for *_, w in verify._cover_witnesses(n, b)), (n, b)
+    assert verify.suite_witness(6, tuple(range(8)))[0] is True
 
 
 def window_escapes_by_moving(lo, hi, i, j):
