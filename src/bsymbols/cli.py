@@ -2,10 +2,11 @@
 
 Subcommands: symbol, kappa, families, avalues, compare, chain, verify,
 hasse.  All output is deterministic; exit codes are 0 for success, 1 for a
-verification failure, 2 for a parse error, 3 for an inadmissible N, 4
-for incomparable inputs, 5 for an internal error (a tripwire such as
-NoSingleMove or WitnessInvalid, or a MemoryError from a weight or size too
-large to build) and 141 when the reader closed stdout early.
+verification failure, 2 for a parse error, 3 for an inadmissible N, 4 when
+the two bipartitions of compare or chain have different ranks or a chain's
+first kappa is not below its last, 5 for an internal error (a tripwire such
+as NoSingleMove or WitnessInvalid, or a MemoryError from a weight or size
+too large to build) and 141 when the reader closed stdout early.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     NotComparable,
     RankMismatch,
 )
-from .partitions import _single_move, dominance_leq, format_partition
+from .partitions import _numeral, _single_move, dominance_leq, format_partition
 from .symbols import Bipartition, _rank_kappas, a_value, kappa, symbol
 
 # The layers past symbols are imported inside the commands that use them: a
@@ -30,13 +31,13 @@ from .symbols import Bipartition, _rank_kappas, a_value, kappa, symbol
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type for --b, --n, --N and --max-n; a bad value exits 2.
+    """argparse type for --b, --n, --N and --max-n: ASCII digits, or exit 2.
 
     Values above sys.maxsize are refused too: ranges and tuples of that
     length raise OverflowError, which is no part of the exit-code contract.
     """
-    value = int(text)
-    if not 0 <= value <= sys.maxsize:
+    value = _numeral(text)
+    if value > sys.maxsize:
         raise ValueError(text)
     return value
 
@@ -145,8 +146,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
     kappas = [kappa(x, args.b, a.rank).entries for x in chain]
     # saturated_chain's steps between distinct kappas are covers by construction
     steps = [
-        (None, None) if kx == ky else (_witness(x, y, args.b, kx, ky, m := _single_move(kx, ky)), m)
-        for x, y, kx, ky in zip(chain, chain[1:], kappas, kappas[1:])
+        (None, None) if kx == ky else (_witness(kx, ky, args.b, m := _single_move(kx, ky)), m)
+        for kx, ky in zip(kappas, kappas[1:])
     ]
     if args.format == "json":
         doc = {

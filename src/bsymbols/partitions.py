@@ -228,13 +228,20 @@ def format_partition(p: Sequence[int]) -> str:
         return ",".join(map(str, p))
 
 
+def _numeral(text: str) -> int:
+    """The value of a string of ASCII digits, the only numerals format_partition prints."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a numeral: {text!r}")
+    return int(text)
+
+
 def parse_partition(text: str) -> Parts:
     """Inverse of format_partition."""
     text = text.strip()
     if text == "-":
         return ()
     try:
-        values = [int(v) for v in text.split(",")]
+        values = [_numeral(v) for v in text.split(",")]
     except ValueError as exc:
         raise NotAPartition(f"cannot parse partition {text!r}") from exc
     return as_partition(values)

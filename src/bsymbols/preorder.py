@@ -14,14 +14,11 @@ every pair as an end-to-end check.  The oracle gives the shared kernel
 only the kappa at N = n, from which it finds both kinds of target itself;
 induction_targets and truncated_targets name the same targets as sets of
 bipartitions, read from the rank's family table.
-witness_step proves one dominance step adjacent and builds the elementary
-step certifying it with _witness, the one witness builder, which callers
-holding the pair's own kappas and move call directly.  It certifies (a, c)
-on those kappas, or (c', a') on their duals, which are the transposes'
-kappas since tensoring with the sign reverses the order, and checks the
-witness with _witness_holds, the predicate behind witness_is_valid, which
-recomputes only kappa(nu); it raises WitnessInvalid on a rejected core or
-on a witness failing it.  witness_is_valid itself recomputes every kappa
+witness_step proves one dominance step adjacent and certifies it with
+_witness, the one witness builder, which chain and the witness suite call
+directly.  A family is its kappa, so _witness takes a cover's two kappas
+and its move, and checks what it builds with _witness_holds, the predicate
+behind witness_is_valid; witness_is_valid itself recomputes every kappa
 through real transposes, so it stays an independent check.
 """
 
@@ -34,7 +31,9 @@ from ._util import GeneratedPreorder, generated_preorder
 from .adjacency import adjacency_move
 from .errors import NotAPartition, NotSympartition, WitnessInvalid
 from .families import enumerate_bipartitions, family_table
-from .partitions import BoxMove, Parts, _is_increment, _shift_largest, _single_move, dominance_leq
+from .partitions import (
+    BoxMove, Parts, _is_increment, _shift_largest, _single_move, dominance_leq, format_partition
+)
 from .symbols import Bipartition, _dual, _rank_kappas, from_sympartition, kappa
 
 
@@ -95,36 +94,26 @@ def _witness_holds(w: InductionWitness, kx: Parts, ky: Parts, b: int) -> bool:
     return _is_increment(base, kx, w.l) and ky == _shift_largest(base, w.l, 1)
 
 
-def _witness(
-    a: Bipartition, c: Bipartition, b: int, lo: Parts, hi: Parts, move: BoxMove
-) -> InductionWitness:
-    """witness_step's construction, with the adjacency taken as given.
+def _witness(lo: Parts, hi: Parts, b: int, move: BoxMove) -> InductionWitness:
+    """witness_step's construction for the cover hi = up(lo, move) at N = rank.
 
-    lo and hi are the pair's own kappas, kappa(a) and kappa(c) at N = rank,
-    and hi = up(lo, move): witness_step takes them from _rank_kappas, chain
-    from kappa at the rank, and the witness suite from the family table.
-    They choose the branch.  The plain branch certifies (a, c), so it reads
-    l and the core off them and checks the witness on them; the transposed
-    branch certifies (c', a'), whose kappas at N = rank are the duals of
-    hi and lo (transposition reflects and complements kappa), so it
-    transposes nothing and computes no kappa of the pair.  The check is
-    the predicate behind witness_is_valid, which recomputes kappa(nu).
-    Raises WitnessInvalid, chained from the rejection, when the core is no
-    sympartition, and unchained when the witness fails witness_is_valid.
+    The transposed branch certifies the transposes' cover on the duals of hi
+    and lo, and the check is _witness_holds on the certified kappas.  Raises
+    WitnessInvalid naming the cover, chained if the core is no sympartition.
     """
     n = (len(lo) - b) // 2
-    if lo[move.k2 - 2] != lo[move.k2 - 1]:
-        l, transposed = move.k2 - 1, False
-    else:
-        lo, hi = _dual(hi, b, n), _dual(lo, b, n)
-        l, transposed = _single_move(lo, hi).k1, True
+    plain = lo[move.k2 - 2] != lo[move.k2 - 1]
+    kx, ky = (lo, hi) if plain else (_dual(hi, b, n), _dual(lo, b, n))
+    l = move.k2 - 1 if plain else _single_move(kx, ky).k1
     try:
-        nu = from_sympartition(_shift_largest(hi, l, -1), b, n, n - l)
+        nu = from_sympartition(_shift_largest(ky, l, -1), b, n, n - l)
     except (NotAPartition, NotSympartition, ValueError) as exc:
-        raise WitnessInvalid(f"no witness for {a.text()} -> {c.text()}: {exc}") from exc
-    w = InductionWitness(nu, l, transposed)
-    if not _witness_holds(w, lo, hi, b):
-        raise WitnessInvalid(f"constructed witness fails its invariants: {w}")
+        cover = f"{format_partition(lo)} -> {format_partition(hi)}"
+        raise WitnessInvalid(f"no witness for {cover}: {exc}") from exc
+    w = InductionWitness(nu, l, not plain)
+    if not _witness_holds(w, kx, ky, b):
+        cover = f"{format_partition(lo)} -> {format_partition(hi)}"
+        raise WitnessInvalid(f"constructed witness fails its invariants: {w} for {cover}")
     return w
 
 
@@ -138,7 +127,7 @@ def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:
     Raises NotAdjacent unless kappa(c) covers kappa(a).
     """
     move = adjacency_move(a, c, b)
-    return _witness(a, c, b, *_rank_kappas(a, c, b), move)
+    return _witness(*_rank_kappas(a, c, b), b, move)
 
 
 def preceq(a: Bipartition, c: Bipartition, b: int) -> bool:

@@ -16,17 +16,14 @@ compare whole bitset rows from adjacency.dominance_rows, not pairs.  The
 round trip checks from_sympartition on every generated vector and counts
 each rank's bucket once it is checked; one search per (b, N) generates the
 vectors of all its ranks at once, recording each vector where its last
-value completes it.  Each witness comes from preorder._witness, the one
-witness builder, given the table's kappas; its WitnessInvalid is the
-suite's counterexample.  The per-cover suites do each construction once:
-_witness reads a member pair only through the cover, certifying a
-transposed cover on the duals of its kappas, so it runs once per cover
-and every pair is still counted; the suite checks each member's dual
-against the table's kappa of its transpose.  The frame suite decides
-each window move from lo's neighbours (is it legal) and the prefix-sum
-slack P_hi - P_lo (does it stay at or below hi), with no vector built.  a-monotonicity
-decides each family's row with one AND against the mask of the families of
-larger a.
+value completes it.  The witness suite calls preorder._witness, the one
+witness builder, once per cover on the table's kappas and counts every
+member pair; a transposed cover is certified on the duals of its kappas,
+so the suite checks each member's dual against its transpose's kappa.  The
+frame suite decides each window move from lo's neighbours (is it legal)
+and the prefix-sum slack P_hi - P_lo (does it stay at or below hi), with
+no vector built.  a-monotonicity decides each family's row with one AND
+against the mask of the families of larger a.
 """
 
 from __future__ import annotations
@@ -345,13 +342,17 @@ def suite_asymptotic(max_n: int, b_list: tuple[int, ...]):
 # adjacency suites
 
 
+def _covers(n: int, b: int):
+    """(low, high) for every covering pair of families at (n, b), at N = n."""
+    families = family_table(n, b).families
+    for fam, ups in zip(families, _poset(n, b).cover_up):
+        for j in ups:
+            yield fam, families[j]
+
+
 def _adjacent_family_pairs(max_n: int, b_list: tuple[int, ...]):
-    """(low, high) for every covering pair of families at N = n, over the grid."""
-    for n, b in product(range(max_n + 1), b_list):
-        families = family_table(n, b).families
-        for fam, ups in zip(families, _poset(n, b).cover_up):
-            for j in ups:
-                yield fam, families[j]
+    """_covers over the grid."""
+    return (pair for n, b in product(range(max_n + 1), b_list) for pair in _covers(n, b))
 
 
 @_checks("adjacency-single-move", "adjacent pairs checked")
@@ -436,41 +437,20 @@ def suite_witness(max_n: int, b_list: tuple[int, ...]):
             for m in fam.members:
                 if entries[m.transpose()] != dual:
                     yield f"kappa duality fails at {m.text()} (n={n}, b={b})"
-        for a, c, plain, w in _cover_witnesses(n, b):
-            if isinstance(w, str):
-                yield f"{w} for {a.text()} -> {c.text()}"
-            elif w.transposed == plain:
-                yield f"wrong case for {a.text()} -> {c.text()} b={b}"
-            else:
-                yield 1
-
-
-def _cover_witnesses(n: int, b: int):
-    """(a, c, plain, witness) for every member pair of every cover at (n, b).
-
-    The pairs come cover by cover, in the order of _adjacent_family_pairs,
-    then in member order.  plain is whether the cover's move takes
-    _witness's plain branch, and witness is what _witness gives the pair:
-    its InductionWitness, or the suite's name for its WitnessInvalid.
-    _witness reads a pair only through the cover's lo, hi and move: it
-    certifies (a, c) on lo and hi, or (c', a') on their duals.  So the
-    cover is the key in both branches: _witness runs once per cover, and
-    every pair of the cover gets its result.
-    """
-    families = family_table(n, b).families
-    for low, ups in zip(families, _poset(n, b).cover_up):
-        lo = low.kappa.entries
-        for j in ups:
-            high = families[j]
-            hi = high.kappa.entries
+        # one _witness per cover; every member pair counts, the first is named
+        for low, high in _covers(n, b):
+            lo, hi = low.kappa.entries, high.kappa.entries
             move = _single_move(lo, hi)
-            plain = lo[move.k2 - 2] != lo[move.k2 - 1]
             try:
-                built = _witness(low.members[0], high.members[0], b, lo, hi, move)
+                w = _witness(lo, hi, b, move)
             except WitnessInvalid as exc:  # chained when the core was rejected
-                built = "core not a sympartition" if exc.__cause__ else "invalid witness"
-            for a, c in product(low.members, high.members):
-                yield a, c, plain, built
+                w = "core not a sympartition" if exc.__cause__ else "invalid witness"
+            if isinstance(w, str):
+                yield f"{w} for {low.members[0].text()} -> {high.members[0].text()}"
+            elif w.transposed == (lo[move.k2 - 2] != lo[move.k2 - 1]):
+                yield f"wrong case for {low.members[0].text()} -> {high.members[0].text()} b={b}"
+            else:
+                yield len(low.members) * len(high.members)
 
 
 # ---------------------------------------------------------------------------

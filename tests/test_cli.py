@@ -408,7 +408,7 @@ def test_chain_tripwire_exits_5(capsys, monkeypatch):
     from bsymbols import preorder
     from bsymbols.errors import WitnessInvalid
 
-    def broken(a, c, b, lo, hi, move):
+    def broken(lo, hi, b, move):
         raise WitnessInvalid("intentional tripwire")
 
     monkeypatch.setattr(preorder, "_witness", broken)
@@ -513,6 +513,20 @@ def test_rank_tables_print_the_same_with_the_text_table_cold_warm_and_cleared(ca
         (["chain", "-|3,1", "1,1|2", "--b", "1"], 4),
         (["chain", "1|1", "1|2", "--b", "1"], 4),
         (["compare", "1|-", "1,1|-", "--b", "0"], 4),
+        # a number is ASCII digits alone, the only numerals format_partition
+        # prints; leading zeros and blanks around a whole component are kept
+        (["kappa", "1_0|-", "--b", "0"], 2),
+        (["kappa", "\u0663|-", "--b", "0"], 2),  # an Arabic-Indic digit
+        (["kappa", "\uff11|-", "--b", "0"], 2),  # a fullwidth digit
+        (["kappa", "+1|-", "--b", "0"], 2),
+        (["kappa", "1, 1|-", "--b", "0"], 2),
+        (["kappa", "1|-", "--b", "1_0"], 2),
+        (["kappa", "1|-", "--b", "\u0663"], 2),
+        (["kappa", "1|-", "--b", " 3"], 2),
+        (["kappa", "1|-", "--b", "+3"], 2),
+        (["verify", "--b-list", "1_0,\u0662"], 2),
+        (["kappa", " 01,1 |-", "--b", "03"], 0),
+        (["verify", "--max-n", "00", "--b-list", "00,01"], 0),
     ],
 )
 def test_exit_code_contract(capsys, argv, code):
@@ -588,8 +602,9 @@ def test_memory_error_exits_5(capsys, argv):
 
 def test_nonnegative_int_bounds():
     assert cli.nonnegative_int("0") == 0
+    assert cli.nonnegative_int("007") == 7
     assert cli.nonnegative_int(str(sys.maxsize)) == sys.maxsize
-    for text in ("-1", HUGE):
+    for text in ("-1", HUGE, "", "1_0", "\u0663", "\uff11", " 3", "3 ", "+3", "3.0"):
         with pytest.raises(ValueError):
             cli.nonnegative_int(text)
 

@@ -61,6 +61,32 @@ INPUT_CHECKS = {
         NotAPartition,
         "cannot parse partition 'x'",
     ),
+    # only ASCII digits: no underscore, sign, inner blank or other script's digit
+    "parse_partition-underscore": (
+        lambda: parse_partition("1_0"),
+        NotAPartition,
+        "cannot parse partition '1_0'",
+    ),
+    "parse_partition-arabic-indic": (
+        lambda: parse_partition("\u0663"),
+        NotAPartition,
+        "cannot parse partition '\u0663'",
+    ),
+    "parse_partition-fullwidth": (
+        lambda: parse_partition("\uff11"),
+        NotAPartition,
+        "cannot parse partition '\uff11'",
+    ),
+    "parse_partition-plus": (
+        lambda: parse_partition("+1"),
+        NotAPartition,
+        "cannot parse partition '+1'",
+    ),
+    "parse_partition-inner-blank": (
+        lambda: parse_partition("1, 1"),
+        NotAPartition,
+        "cannot parse partition '1, 1'",
+    ),
     "as_partition-float": (
         lambda: as_partition([2.5, 1]),
         NotAPartition,

@@ -19,6 +19,7 @@ from bsymbols.partitions import (
     _is_increment,
     _shift_largest,
     _single_move,
+    format_partition,
     normalize,
     padded,
     partitions_of,
@@ -194,19 +195,20 @@ def core_rejected(p, b, N, n):
 )
 def test_witness_builder_rejects_each_broken_witness(monkeypatch, pair, attr, wrong, cause):
     # the builder's own check, on either branch, catches a wrong l, a nu of
-    # the wrong rank and a rejected core; only the last is chained
+    # the wrong rank and a rejected core; only the last is chained.  Either
+    # text names the cover by its own kappas, not by the duals it certifies
     a, c = map(Bipartition.parse, pair)
     assert witness_step(a, c, 1).transposed == (pair == TRANSPOSED)
+    cover = " -> ".join(map(format_partition, _rank_kappas(a, c, 1)))
     monkeypatch.setattr(preorder, attr, wrong)
     with pytest.raises(WitnessInvalid) as info:
         witness_step(a, c, 1)
     if cause is None:
         assert str(info.value).startswith("constructed witness fails its invariants: ")
+        assert str(info.value).endswith(f" for {cover}")
         assert info.value.__cause__ is None
     else:
-        assert str(info.value) == f"no witness for {pair[0]} -> {pair[1]}: " + str(
-            info.value.__cause__
-        )
+        assert str(info.value) == f"no witness for {cover}: {info.value.__cause__}"
         assert type(info.value.__cause__) is cause
 
 
@@ -214,7 +216,7 @@ def adjacent_member_pairs(max_n):
     """(a, c, b, lo, hi, move) for every adjacent member pair with n <= max_n and b <= n + 1.
 
     lo and hi are the family table's kappas and move is read off them, as
-    suite_witness and chain hand them to the witness builder.
+    suite_witness and chain hand them to the witness builder with b.
     """
     for n in range(max_n + 1):
         for b in range(n + 2):
@@ -236,22 +238,23 @@ def test_witness_builder_transposes_the_pair_at_most_once(monkeypatch):
         return original(bp)
 
     # the transposed branch reads the kappas of (c', a') as the duals of the
-    # given ones, so neither branch transposes anything
+    # cover's, so neither branch transposes anything
     pairs = list(adjacent_member_pairs(5))
     monkeypatch.setattr(Bipartition, "transpose", counted)
     seen = set()
-    for args in pairs:
+    for _, _, b, lo, hi, move in pairs:
         calls.clear()
-        w = preorder._witness(*args)
+        w = preorder._witness(lo, hi, b, move)
         assert calls == []
         seen.add(w.transposed)
     assert seen == {False, True}
 
 
 def test_witness_builder_computes_one_kappa(monkeypatch):
-    # kappa(nu) once, on either branch: the plain branch certifies (a, c) on
-    # the kappas it is given, and the transposed one certifies (c', a') on
-    # their duals, reading l and the core off the same two kappas its check uses
+    # kappa(nu) once, on either branch: the plain branch certifies the cover
+    # on the kappas it is given, and the transposed one certifies the
+    # transposes' cover on their duals, reading l and the core off the same
+    # two kappas its check uses
     calls = []
     original = symbols.kappa
 
@@ -263,10 +266,10 @@ def test_witness_builder_computes_one_kappa(monkeypatch):
     monkeypatch.setattr(symbols, "kappa", counted)
     monkeypatch.setattr(preorder, "kappa", counted)
     branches = Counter()
-    for args in pairs:
+    for _, _, b, lo, hi, move in pairs:
         calls.clear()
-        w = preorder._witness(*args)
-        assert len(calls) == 1, (args, calls)
+        w = preorder._witness(lo, hi, b, move)
+        assert len(calls) == 1, (lo, hi, b, calls)
         branches[w.transposed] += 1
     assert branches[False] > 0 and branches[True] > 0
 
@@ -302,11 +305,13 @@ def reference_witness(a, c, b, lo, hi, move):
 
 
 def test_witness_builder_matches_the_reference_builder():
-    # every adjacent member pair for n <= 8 and b <= n + 1, both branches
+    # every adjacent member pair for n <= 8 and b <= n + 1, both branches:
+    # the reference transposes the pair and recomputes its kappas, so the
+    # witness of each member pair is the one its cover's kappas give
     branches = Counter()
-    for args in adjacent_member_pairs(8):
-        w = preorder._witness(*args)
-        assert w == reference_witness(*args), args
+    for a, c, b, lo, hi, move in adjacent_member_pairs(8):
+        w = preorder._witness(lo, hi, b, move)
+        assert w == reference_witness(a, c, b, lo, hi, move), (a, c, b)
         branches[w.transposed] += 1
     assert branches[False] > 0 and branches[True] > 0
 

@@ -743,35 +743,52 @@ def covers(n, b):
 
 
 def per_pair_witnesses(low, high, b):
-    """The witness suite's loop before it built once per distinct input: _witness on every pair."""
-    lo, hi = low.kappa.entries, high.kappa.entries
-    move = _single_move(lo, hi)
+    """The witness suite's loop before it built once per cover: _witness on every member pair.
+
+    Each pair's kappas are recomputed, and its move read off them.
+    """
     for a, c in product(low.members, high.members):
+        lo, hi = _rank_kappas(a, c, b)
+        move = _single_move(lo, hi)
         try:
-            w = preorder._witness(a, c, b, lo, hi, move)
+            w = preorder._witness(lo, hi, b, move)
         except WitnessInvalid as exc:
             w = "core not a sympartition" if exc.__cause__ else "invalid witness"
         yield a, c, lo[move.k2 - 2] != lo[move.k2 - 1], w
 
 
+def per_pair_suite(max_n, b_list):
+    """suite_witness's (ok, detail) from the per-pair loop: one witness checked per member pair."""
+    checked = 0
+    for n, b in product(range(max_n + 1), b_list):
+        families = family_table(n, b).families
+        entries = {m: fam.kappa.entries for fam in families for m in fam.members}
+        for fam in families:
+            dual = verify._dual(fam.kappa.entries, b, n)
+            for m in fam.members:
+                if entries[m.transpose()] != dual:
+                    return False, f"kappa duality fails at {m.text()} (n={n}, b={b})"
+        for low, high in covers(n, b):
+            for a, c, plain, w in per_pair_witnesses(low, high, b):
+                if isinstance(w, str):
+                    return False, f"{w} for {a.text()} -> {c.text()}"
+                if w.transposed == plain:
+                    return False, f"wrong case for {a.text()} -> {c.text()} b={b}"
+                checked += 1
+    return True, f"{checked} witnesses checked"
+
+
 def test_suite_witness_builds_once_per_distinct_input(monkeypatch):
-    # every member pair is counted; _witness runs once per distinct input,
-    # that is the cover with the kappas of the pair it certifies (one per
-    # cover, by the duality), and checks its witness once; and each pair
-    # gets the witness _witness builds for it when called directly
+    # the distinct input is the cover: _witness runs once per cover, on the
+    # table's kappas and the move read off them, and checks its witness
+    # once; every member pair is still counted
     b_list = tuple(range(7))
-    keys, pairs = set(), 0
+    expected, pairs = [], 0
     for n, b in product(range(6), b_list):
         for low, high in covers(n, b):
             lo, hi = low.kappa.entries, high.kappa.entries
-            move = _single_move(lo, hi)
-            for a, c in product(low.members, high.members):
-                if lo[move.k2 - 2] != lo[move.k2 - 1]:
-                    certified = _rank_kappas(a, c, b)
-                else:
-                    certified = _rank_kappas(c.transpose(), a.transpose(), b)
-                keys.add((b, lo, hi, move, *certified))
-                pairs += 1
+            expected.append((lo, hi, b, _single_move(lo, hi)))
+            pairs += len(low.members) * len(high.members)
     calls, checks = [], []
     build, holds = verify._witness, preorder._witness_holds
 
@@ -779,32 +796,41 @@ def test_suite_witness_builds_once_per_distinct_input(monkeypatch):
         checks.append(args)
         return holds(*args)
 
-    def counted(a, c, b, lo, hi, move):
-        calls.append((a, c, b))
-        return build(a, c, b, lo, hi, move)
+    def counted(lo, hi, b, move):
+        calls.append((lo, hi, b, move))
+        return build(lo, hi, b, move)
 
     monkeypatch.setattr(preorder, "_witness_holds", counted_holds)
     monkeypatch.setattr(verify, "_witness", counted)
     assert verify.suite_witness(5, b_list) == (True, f"{pairs} witnesses checked")
-    assert len(calls) == len(set(calls)) == len(keys) == len(checks) < pairs
-    monkeypatch.undo()
-    for n, b in product(range(6), b_list):
-        for a, c, _, w in verify._cover_witnesses(n, b):
-            lo, hi = _rank_kappas(a, c, b)
-            assert w == preorder._witness(a, c, b, lo, hi, _single_move(lo, hi)), (a, c, b)
+    assert calls == expected
+    assert len(set(calls)) == len(checks) == len(calls) < pairs
 
 
-def test_cover_witnesses_match_per_pair_loop():
+def test_suite_witness_matches_the_per_pair_loop():
     # every member pair of every cover with n <= 7 and b <= n + 1
     for n in range(8):
-        for b in range(n + 2):
-            expected = [
-                found for low, high in covers(n, b) for found in per_pair_witnesses(low, high, b)
-            ]
-            assert list(verify._cover_witnesses(n, b)) == expected, (n, b)
+        b_list = tuple(range(n + 2))
+        assert verify.suite_witness(n, b_list) == per_pair_suite(n, b_list), n
 
 
-def test_cover_witnesses_read_kappas_from_the_table(monkeypatch):
+WITNESS_FAULTS = [case for case in SEEDED_FAULTS if case[2] is verify.suite_witness]
+
+
+@pytest.mark.parametrize(
+    "name, wrong, suite, max_n, b_list, detail",
+    WITNESS_FAULTS,
+    ids=[SEEDED_IDS[SEEDED_FAULTS.index(case)] for case in WITNESS_FAULTS],
+)
+def test_suite_witness_matches_the_per_pair_loop_under_each_fault(
+    monkeypatch, name, wrong, suite, max_n, b_list, detail
+):
+    # the first counterexample is the per-pair loop's first, a cover's first member pair
+    monkeypatch.setattr(f"bsymbols.{name}", wrong)
+    assert suite(max_n, b_list) == per_pair_suite(max_n, b_list) == (False, detail)
+
+
+def test_suite_witness_reads_kappas_from_the_table(monkeypatch):
     # the members' and their transposes' kappas come from the family table;
     # only _witness computes kappas, through its own module's names
     def no_kappa(*args):
@@ -813,8 +839,6 @@ def test_cover_witnesses_read_kappas_from_the_table(monkeypatch):
     for n, b in product(range(7), range(8)):
         family_table(n, b)  # built before kappa is patched
     monkeypatch.setattr(verify, "kappa", no_kappa)
-    for n, b in product(range(7), range(8)):
-        assert all(not isinstance(w, str) for *_, w in verify._cover_witnesses(n, b)), (n, b)
     assert verify.suite_witness(6, tuple(range(8)))[0] is True
 
 
