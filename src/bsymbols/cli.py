@@ -22,7 +22,7 @@ from .errors import (
     NotComparable,
     RankMismatch,
 )
-from .partitions import _numeral, _single_move, dominance_leq, format_partition
+from .partitions import _numeral, dominance_leq, format_partition
 from .symbols import Bipartition, _rank_kappas, a_value, kappa, symbol
 
 # The layers past symbols are imported inside the commands that use them: a
@@ -138,7 +138,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_chain(args: argparse.Namespace) -> int:
     from .adjacency import saturated_chain
-    from .preorder import _witness
+    from .preorder import _cover_witness
 
     a = Bipartition.parse(args.bipartition)
     c = Bipartition.parse(args.bipartition2)
@@ -146,7 +146,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     kappas = [kappa(x, args.b, a.rank).entries for x in chain]
     # saturated_chain's steps between distinct kappas are covers by construction
     steps = [
-        (None, None) if kx == ky else (_witness(kx, ky, args.b, m := _single_move(kx, ky)), m)
+        (None, None) if kx == ky else _cover_witness(kx, ky, args.b)
         for kx, ky in zip(kappas, kappas[1:])
     ]
     if args.format == "json":

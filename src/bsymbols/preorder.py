@@ -15,11 +15,14 @@ only the kappa at N = n, from which it finds both kinds of target itself;
 induction_targets and truncated_targets name the same targets as sets of
 bipartitions, read from the rank's family table.
 witness_step proves one dominance step adjacent and certifies it with
-_witness, the one witness builder, which chain and the witness suite call
+_witness, the one witness builder, which the witness suite also calls
 directly.  A family is its kappa, so _witness takes a cover's two kappas
 and its move, and checks what it builds with _witness_holds, the predicate
 behind witness_is_valid; witness_is_valid itself recomputes every kappa
-through real transposes, so it stays an independent check.
+through real transposes, so it stays an independent check.  chain reads
+each cover's witness and move from _cover_witness, which memoizes _witness
+by the cover's kappas for the life of the process; a WitnessInvalid is
+raised again on every call, as a raise is never stored.
 """
 
 from __future__ import annotations
@@ -115,6 +118,13 @@ def _witness(lo: Parts, hi: Parts, b: int, move: BoxMove) -> InductionWitness:
         cover = f"{format_partition(lo)} -> {format_partition(hi)}"
         raise WitnessInvalid(f"constructed witness fails its invariants: {w} for {cover}")
     return w
+
+
+@lru_cache(maxsize=None)
+def _cover_witness(lo: Parts, hi: Parts, b: int) -> tuple[InductionWitness, BoxMove]:
+    """The witness and move of the cover lo -> hi, built once per process for chain."""
+    move = _single_move(lo, hi)
+    return _witness(lo, hi, b, move), move
 
 
 def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:

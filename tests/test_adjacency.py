@@ -249,3 +249,28 @@ def test_double_break_staircase_window():
 
     assert break_points((5, 4, 3, 2, 1), 1, 4) == [1, 2, 3, 4]
     assert len(break_points(hi.entries, fr.i, fr.j - 1)) >= 2
+
+
+def transitive_closure(rows):
+    """Warshall's closure of bitmask rows."""
+    rows = list(rows)
+    for k, row_k in enumerate(rows):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_wall_crossing(n):
+    # D_b, the dominance rows of kappa at N = n, is the closure of the orders
+    # just below the wall b (D_{b-1} & D_b) and just above it (D_b & D_{b+1});
+    # n - 1 is the last wall, and the order is constant from b = n on
+    elements = enumerate_bipartitions(n)
+    D = [dominance_rows([kappa(x, b, n).entries for x in elements]) for b in range(n + 3)]
+    for b in range(1, n + 2):
+        glued = [below & at | at & above for below, at, above in zip(D[b - 1], D[b], D[b + 1])]
+        assert transitive_closure(glued) == D[b], (n, b)
+    assert D[n - 1] != D[n]
+    assert D[n] == D[n + 1]

@@ -4,13 +4,14 @@ import bsymbols
 from bsymbols.adjacency import _poset
 from bsymbols.families import _texts, enumerate_bipartitions, family_table
 from bsymbols.partitions import partitions_of
-from bsymbols.preorder import _oracle_rows, preceq_oracle
+from bsymbols.preorder import _cover_witness, _oracle_rows, preceq_oracle
 from bsymbols.typea import _typea_rows, preceq_typeA_oracle
 
 CACHES = (
     family_table,
     _poset,
     _oracle_rows,
+    _cover_witness,
     _typea_rows,
     enumerate_bipartitions,
     _texts,
@@ -35,6 +36,8 @@ def test_clear_caches_empties_every_cache():
     oracle = preceq_oracle(4, 1)
     typea = preceq_typeA_oracle(4)
     texts = _texts(5)
+    hi, lo = (f.kappa.entries for f in family_table(3, 1).families[:2])  # a cover
+    witness = _cover_witness(lo, hi, 1)
     assert all(c.cache_info().currsize > 0 for c in CACHES)
     bsymbols.clear_caches()
     assert [c.cache_info().currsize for c in CACHES] == [0] * len(CACHES)
@@ -44,3 +47,4 @@ def test_clear_caches_empties_every_cache():
     assert preceq_oracle(4, 1).rows == oracle.rows
     assert preceq_typeA_oracle(4).rows == typea.rows
     assert _texts(5) == texts
+    assert _cover_witness(lo, hi, 1) == witness

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import bsymbols
 from bsymbols import cli
 from bsymbols.preorder import InductionWitness, witness_is_valid
 from bsymbols.symbols import Bipartition
@@ -404,19 +405,58 @@ def test_verify_reports_failing_suite(capsys, monkeypatch):
     assert out.strip().splitlines()[-1] == "FAILED"
 
 
-def test_chain_tripwire_exits_5(capsys, monkeypatch):
-    from bsymbols import preorder
+def broken_witness(lo, hi, b, move):
     from bsymbols.errors import WitnessInvalid
 
-    def broken(lo, hi, b, move):
-        raise WitnessInvalid("intentional tripwire")
+    raise WitnessInvalid("intentional tripwire")
 
-    monkeypatch.setattr(preorder, "_witness", broken)
+
+def test_chain_tripwire_exits_5(capsys, monkeypatch):
+    from bsymbols import preorder
+
+    # an earlier chain may have memoized these covers; empty the memo so the
+    # chain reaches the builder
+    bsymbols.clear_caches()
+    monkeypatch.setattr(preorder, "_witness", broken_witness)
     code, out, err = run(capsys, "chain", "-|1,1,1", "3|-", "--b", "1")
     assert code == 5
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("internal error:") and "intentional tripwire" in err
+
+
+def test_chain_memoizes_no_failed_cover(capsys, monkeypatch):
+    from bsymbols import preorder
+
+    argv = ("chain", "-|1,1,1", "3|-", "--b", "1")
+    code, pinned, _ = run(capsys, *argv)
+    assert code == 0
+    bsymbols.clear_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(preorder, "_witness", broken_witness)
+        for _ in range(2):  # a raise is not stored, so the tripwire fires every time
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (5, "")
+            assert "intentional tripwire" in err
+            assert preorder._cover_witness.cache_info().currsize == 0
+    assert run(capsys, *argv) == (0, pinned, "")
+    assert preorder._cover_witness.cache_info().currsize == 5
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CHAIN_16 = ("chain", "-|" + ",".join("1" * 16), "16|-", "--b", "3")
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_chain_reads_the_same_witnesses_cold_warm_and_cleared(capsys, fmt):
+    # one process: a cold memo, the warm memo, then after clear_caches
+    argv = CHAIN_16 + (("--format", "json") if fmt == "json" else ())
+    golden = (GOLDEN / f"chain-16-b3.{fmt}").read_text()
+    bsymbols.clear_caches()
+    for clear in (False, False, True):
+        if clear:
+            bsymbols.clear_caches()
+        assert run(capsys, *argv) == (0, golden, "")
 
 
 def test_verify_tripwire_exits_5(capsys, monkeypatch):

@@ -216,7 +216,7 @@ def adjacent_member_pairs(max_n):
     """(a, c, b, lo, hi, move) for every adjacent member pair with n <= max_n and b <= n + 1.
 
     lo and hi are the family table's kappas and move is read off them, as
-    suite_witness and chain hand them to the witness builder with b.
+    suite_witness and _cover_witness hand them to the witness builder with b.
     """
     for n in range(max_n + 1):
         for b in range(n + 2):
@@ -314,6 +314,32 @@ def test_witness_builder_matches_the_reference_builder():
         assert w == reference_witness(a, c, b, lo, hi, move), (a, c, b)
         branches[w.transposed] += 1
     assert branches[False] > 0 and branches[True] > 0
+
+
+def test_cover_witness_is_the_witness_of_its_cover():
+    # chain reads _cover_witness: on every cover with n <= 8 and b <= n + 1 it
+    # answers what _witness builds with the cover's move, cold and warm
+    covers = [
+        (families[i].kappa.entries, families[j].kappa.entries, b)
+        for n in range(9)
+        for b in range(n + 2)
+        for families in [family_table(n, b).families]
+        for i, ups in enumerate(_poset(n, b).cover_up)
+        for j in ups
+    ]
+    preorder._cover_witness.cache_clear()
+    cold = {}
+    for lo, hi, b in covers:
+        move = _single_move(lo, hi)
+        cold[lo, hi, b] = preorder._cover_witness(lo, hi, b)
+        assert cold[lo, hi, b] == (preorder._witness(lo, hi, b, move), move)
+    assert preorder._cover_witness.cache_info().currsize == len(covers) == 4682
+    for lo, hi, b in covers:
+        move = _single_move(lo, hi)
+        warm = preorder._cover_witness(lo, hi, b)
+        assert warm is cold[lo, hi, b]
+        assert warm == (preorder._witness(lo, hi, b, move), move)
+    assert preorder._cover_witness.cache_info().hits == len(covers)
 
 
 @pytest.mark.parametrize("transposed", [False, True])
