@@ -6,9 +6,12 @@ by a single box move on their kappa vectors.  Every adjacency, chain and
 Hasse query of rank n reads one cached dominance poset of all the rank's
 kappa values.  It is built on dominance_rows, a bit-parallel kernel over
 the prefix sums of any tuple of vectors, which the verify suites also use
-to compare whole ranks at once.  This module also extracts the move,
-refines arbitrary comparisons into saturated chains, and checks the
-structural facts about adjacency frames used elsewhere.
+to compare whole ranks at once.  A pair is located through the family
+table's position map, member to family, so the queries read the pair's
+kappas off the table and a warm chain computes no kappa; a bipartition
+the map does not hold is located by its kappa.  This module also extracts
+the move, refines arbitrary comparisons into saturated chains, and checks
+the structural facts about adjacency frames used elsewhere.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from .errors import (
     PreconditionViolated,
     SizeMismatch,
 )
-from .families import family_table
+from .families import FamilyTable, family_table
 from .partitions import BoxMove, Parts, _single_move, break_points, dominance_leq, gap, part, size
-from .symbols import Bipartition, Kappa, _rank_kappas
+from .symbols import Bipartition, Kappa, _common_rank, kappa
 
 
 class AdjacencyFrame(NamedTuple):
@@ -107,30 +110,55 @@ def _poset(n: int, b: int) -> Poset:
     return Poset(tuple(above), tuple(cover_up))
 
 
+def _node(table: FamilyTable, x: Bipartition) -> int:
+    """The position of x's family in the table.
+
+    A member is looked up; a bipartition the table does not hold, such as
+    one with trailing zeros, is located by its kappa.
+    """
+    i = table.position.get(x)
+    return table.index[kappa(x, table.b, table.N).entries] if i is None else i
+
+
 def _located(a: Bipartition, c: Bipartition, b: int):
-    """The rank's poset and the nodes of a and c, with kappa(a) at most kappa(c)."""
-    ka, kc = _rank_kappas(a, c, b)
-    n = a.rank
-    poset, index = _poset(n, b), family_table(n, b).index
-    ia, ic = index[ka], index[kc]
+    """The rank's table and poset and the nodes of a and c, with kappa(a) at most kappa(c)."""
+    n = _common_rank(a, c)
+    table = family_table(n, b)
+    poset = _poset(n, b)
+    ia, ic = _node(table, a), _node(table, c)
     if ia != ic and not poset.above[ia] >> ic & 1:
         raise NotComparable(f"kappa of {a.text()} is not below that of {c.text()}")
-    return poset, ia, ic
+    return table, poset, ia, ic
+
+
+def _adjacency(a: Bipartition, c: Bipartition, b: int) -> tuple[Parts, Parts, bool]:
+    """The kappas of a and c at their rank and whether the second covers the first.
+
+    The kappas are read off the family table; equal ones raise NotComparable.
+    """
+    table, poset, ia, ic = _located(a, c, b)
+    if ia == ic:
+        raise NotComparable(f"{a.text()} and {c.text()} have equal kappa")
+    families = table.families
+    return families[ia].kappa.entries, families[ic].kappa.entries, ic in poset.cover_up[ia]
+
+
+def _cover_kappas(a: Bipartition, c: Bipartition, b: int) -> tuple[Parts, Parts]:
+    """The kappas of a and c at their rank; raises NotAdjacent unless the second covers the first."""
+    lo, hi, adjacent = _adjacency(a, c, b)
+    if not adjacent:
+        raise NotAdjacent(f"{a.text()} and {c.text()} are not adjacent at b={b}")
+    return lo, hi
 
 
 def is_adjacent(a: Bipartition, c: Bipartition, b: int) -> bool:
     """True when kappa(a) is covered by kappa(c) among all rank-n values."""
-    poset, ia, ic = _located(a, c, b)
-    if ia == ic:
-        raise NotComparable(f"{a.text()} and {c.text()} have equal kappa")
-    return ic in poset.cover_up[ia]
+    return _adjacency(a, c, b)[2]
 
 
 def adjacency_move(a: Bipartition, c: Bipartition, b: int) -> BoxMove:
     """The single box move turning kappa(a) into kappa(c)."""
-    if not is_adjacent(a, c, b):
-        raise NotAdjacent(f"{a.text()} and {c.text()} are not adjacent at b={b}")
-    return _single_move(*_rank_kappas(a, c, b))
+    return _single_move(*_cover_kappas(a, c, b))
 
 
 def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]:
@@ -140,7 +168,7 @@ def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]
     intermediate steps are represented by the textually first member of
     their family, so the chain is deterministic.
     """
-    poset, ia, ic = _located(a, c, b)
+    table, poset, ia, ic = _located(a, c, b)
     above = poset.above
     if ia == ic:
         return [a] if a == c else [a, c]
@@ -149,7 +177,6 @@ def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]
         path.append(
             next(j for j in poset.cover_up[path[-1]] if j == ic or above[j] >> ic & 1)
         )
-    table = family_table(a.rank, b)
     reps = [table.families[i].members[0] for i in path]
     return [a] + reps[1:-1] + [c]
 

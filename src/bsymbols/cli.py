@@ -138,12 +138,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_chain(args: argparse.Namespace) -> int:
     from .adjacency import saturated_chain
+    from .families import family_table
     from .preorder import _cover_witness
 
     a = Bipartition.parse(args.bipartition)
     c = Bipartition.parse(args.bipartition2)
     chain = saturated_chain(a, c, args.b)
-    kappas = [kappa(x, args.b, a.rank).entries for x in chain]
+    # parsed bipartitions are normalized, so every element is a member of the table
+    table = family_table(a.rank, args.b)
+    kappas = [table.families[table.position[x]].kappa.entries for x in chain]
     # saturated_chain's steps between distinct kappas are covers by construction
     steps = [
         (None, None) if kx == ky else _cover_witness(kx, ky, args.b)

@@ -3,9 +3,11 @@
 Two bipartitions of n lie in the same family exactly when their kappa
 vectors agree; the table below groups the whole of the rank-n set at the
 common admissible size N = n, attaches a-values, and indexes the families
-by kappa, so every module locates a kappa of rank n through it.  It also
-exposes the Hasse diagram of the dominance order on the distinct kappa
-values.
+by kappa, so every module locates a kappa of rank n through it.  Its
+position map sends every member to its family's position, so a pair or
+chain query on members of the rank reads their kappas off the table and a
+warm chain computes no kappa.  The module also exposes the Hasse diagram
+of the dominance order on the distinct kappa values.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class FamilyTable(NamedTuple):
     N: int
     families: tuple[Family, ...]  # sorted by decreasing kappa
     index: dict[Parts, int]  # kappa entries -> position
+    position: dict[Bipartition, int]  # member -> position of its family
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +74,11 @@ def family_table(n: int, b: int) -> FamilyTable:
         Family(Kappa(entries, b, N), tuple(members), n_stat(entries) - base)
         for entries, members in ordered
     )
-    return FamilyTable(n, b, N, families, {e: i for i, (e, _) in enumerate(ordered)})
+    index, position = {}, {}
+    for i, (entries, members) in enumerate(ordered):
+        index[entries] = i
+        position.update(dict.fromkeys(members, i))
+    return FamilyTable(n, b, N, families, index, position)
 
 
 class HasseDiagram(NamedTuple):

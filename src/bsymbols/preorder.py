@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import NamedTuple, Set
 
 from ._util import GeneratedPreorder, generated_preorder
-from .adjacency import adjacency_move
+from .adjacency import _cover_kappas
 from .errors import NotAPartition, NotSympartition, WitnessInvalid
 from .families import enumerate_bipartitions, family_table
 from .partitions import (
@@ -136,8 +136,8 @@ def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:
     transposed pair, removing a box from each entry above the raised one.
     Raises NotAdjacent unless kappa(c) covers kappa(a).
     """
-    move = adjacency_move(a, c, b)
-    return _witness(*_rank_kappas(a, c, b), b, move)
+    lo, hi = _cover_kappas(a, c, b)
+    return _witness(lo, hi, b, _single_move(lo, hi))
 
 
 def preceq(a: Bipartition, c: Bipartition, b: int) -> bool:

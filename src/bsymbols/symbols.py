@@ -141,8 +141,8 @@ def kappa(bp: Bipartition, b: int, N: int | None = None) -> Kappa:
     return Kappa(tuple(entries), b, N)
 
 
-def _rank_kappas(a: Bipartition, c: Bipartition, b: int) -> tuple[Parts, Parts]:
-    """The kappa entries of a and c at the common size N = n of their rank n.
+def _common_rank(a: Bipartition, c: Bipartition) -> int:
+    """The rank n of a and c.
 
     Every per-pair answer of the package reads the pair through here, so
     this is the one place that rejects a pair of different ranks.
@@ -150,6 +150,12 @@ def _rank_kappas(a: Bipartition, c: Bipartition, b: int) -> tuple[Parts, Parts]:
     n = a.rank
     if c.rank != n:
         raise RankMismatch(f"ranks differ: {a.text()} has {n}, {c.text()} has {c.rank}")
+    return n
+
+
+def _rank_kappas(a: Bipartition, c: Bipartition, b: int) -> tuple[Parts, Parts]:
+    """The kappa entries of a and c at the common size N = n of their rank n."""
+    n = _common_rank(a, c)
     return kappa(a, b, n).entries, kappa(c, b, n).entries
 
 

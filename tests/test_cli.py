@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bsymbols
-from bsymbols import cli
+from bsymbols import cli, symbols
 from bsymbols.preorder import InductionWitness, witness_is_valid
 from bsymbols.symbols import Bipartition
 
@@ -359,6 +359,13 @@ def test_chain_incomparable_exits_4(capsys):
     code, _, err = run(capsys, "chain", "-|3,1", "1,1|2", "--b", "1")
     assert code == 4
     assert "incomparable" in err
+
+
+@pytest.mark.parametrize("command", ["chain", "compare"])
+def test_pair_of_different_ranks_exits_4(capsys, command):
+    code, out, err = run(capsys, command, "1|-", "1,1|-", "--b", "1")
+    assert (code, out) == (4, "")
+    assert err == "incomparable: ranks differ: 1|- has 1, 1,1|- has 2\n"
 
 
 def test_chain_json(capsys):
@@ -809,3 +816,40 @@ def test_pinned_chains_replay_with_valid_witnesses(capsys):
             assert witness_is_valid(w, a, c, doc["b"]), (argv, step)
             steps.append(w.transposed)
     assert (len(pins), len(steps), sum(steps)) == (96, 784, 497)
+
+
+def counted_kappa(monkeypatch) -> list:
+    """Count the calls of kappa in every bsymbols module that holds it."""
+    calls = []
+    original = symbols.kappa
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    holders = [
+        name
+        for name, mod in list(sys.modules.items())
+        if name.split(".")[0] == "bsymbols" and vars(mod).get("kappa") is original
+    ]
+    assert {"bsymbols.symbols", "bsymbols.cli", "bsymbols.preorder"} <= set(holders)
+    for name in holders:
+        monkeypatch.setattr(sys.modules[name], "kappa", counted)
+    return calls
+
+
+def test_a_warm_pass_of_the_pinned_chains_computes_no_kappa(capsys, monkeypatch):
+    # every element of a chain is a member of its rank's family table, so a
+    # chain whose table, poset and witnesses are built reads every kappa
+    pins = json.loads(PINS.read_text())["pools"]["chain"]
+    parser = cli.build_parser()
+    queries = [parser.parse_args(pin["argv"]) for pin in pins]
+    for ns in queries:
+        ns.func(ns)
+    capsys.readouterr()
+    calls = counted_kappa(monkeypatch)
+    for pin, ns in zip(pins, queries):
+        assert ns.func(ns) == pin["rc"] == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"], pin["argv"]
+    assert (len(pins), len(calls)) == (96, 0)

@@ -1,3 +1,5 @@
+import pytest
+
 from bsymbols.families import (
     enumerate_bipartitions,
     family_hasse,
@@ -151,3 +153,15 @@ def test_every_bipartition_in_exactly_one_family():
             for f in table.families:
                 for bp in f.members:
                     assert kappa(bp, b, n).entries == f.kappa.entries
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_position_maps_each_member_to_its_family(n):
+    for b in range(n + 2):
+        table = family_table(n, b)
+        # one key per bipartition of rank n
+        assert len(table.position) == len(enumerate_bipartitions(n))
+        assert set(table.position) == set(enumerate_bipartitions(n))
+        for m, i in table.position.items():
+            assert m in table.families[i].members
+            assert kappa(m, b, n) == table.families[i].kappa

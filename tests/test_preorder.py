@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
@@ -274,6 +275,25 @@ def test_witness_builder_computes_one_kappa(monkeypatch):
     assert branches[False] > 0 and branches[True] > 0
 
 
+def test_a_warm_witness_step_computes_one_kappa(monkeypatch):
+    # the pair's kappas are read off the family table; only the check's
+    # kappa(nu) is computed
+    a, c = Bipartition.parse("1,1|-"), Bipartition.parse("1|1")
+    w = witness_step(a, c, 0)
+    calls = []
+    original = symbols.kappa
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bsymbols" and vars(module).get("kappa") is original:
+            monkeypatch.setattr(module, "kappa", counted)
+    assert witness_step(a, c, 0) == w
+    assert calls == [(w.nu, 0, 2)]
+
+
 def reference_witness_holds(w, x, y, b):
     """The predicate before it took the pair's kappas: all three recomputed."""
     n = x.rank
@@ -481,10 +501,10 @@ def test_truncated_shift_of_a():
 
 
 def test_table_kappas_and_move_are_witness_step_inputs():
-    # suite_witness and chain build witnesses from the family table's kappas
-    # and the move read off them; witness_step builds the same witness from
-    # _rank_kappas and adjacency_move.  Every adjacent member pair for n <= 7
-    # and b <= n + 1.
+    # suite_witness, chain and witness_step build witnesses from the family
+    # table's kappas and the move read off them; those equal the pair's
+    # computed kappas and adjacency_move.  Every adjacent member pair for
+    # n <= 7 and b <= n + 1.
     checked = 0
     for a, c, b, lo, hi, move in adjacent_member_pairs(7):
         assert (lo, hi) == _rank_kappas(a, c, b)
