@@ -169,14 +169,15 @@ def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]
     their family, so the chain is deterministic.
     """
     table, poset, ia, ic = _located(a, c, b)
-    above = poset.above
     if ia == ic:
         return [a] if a == c else [a, c]
+    above, cover_up = poset.above, poset.cover_up
     path = [ia]
     while path[-1] != ic:
-        path.append(
-            next(j for j in poset.cover_up[path[-1]] if j == ic or above[j] >> ic & 1)
-        )
+        for j in cover_up[path[-1]]:  # the first cover still below c
+            if j == ic or above[j] >> ic & 1:
+                path.append(j)
+                break
     reps = [table.families[i].members[0] for i in path]
     return [a] + reps[1:-1] + [c]
 

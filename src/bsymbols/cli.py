@@ -7,6 +7,12 @@ the two bipartitions of compare or chain have different ranks or a chain's
 first kappa is not below its last, 5 for an internal error (a tripwire such
 as NoSingleMove or WitnessInvalid, or a MemoryError from a weight or size
 too large to build) and 141 when the reader closed stdout early.
+
+The commands read what the process already holds rather than compute it
+again: families, avalues and chain print members from the rank's text
+table, chain reads each element's kappa off the family table and each
+cover's witness, move and nu text from the cover memo, and compare reads
+both a-values off the two kappas it compares.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import (
     RankMismatch,
 )
 from .partitions import _numeral, dominance_leq, format_partition
-from .symbols import Bipartition, _rank_kappas, a_value, kappa, symbol
+from .symbols import Bipartition, _empty_n_stat, _rank_kappas, kappa, n_stat, symbol
 
 # The layers past symbols are imported inside the commands that use them: a
 # process without bytecode caches compiles every module it imports, and most
@@ -130,56 +136,60 @@ def cmd_compare(args: argparse.Namespace) -> int:
         status = "GEQ"
     else:
         status = "INCOMPARABLE"
+    # the a-value does not depend on N, so it is read off the kappas at N = n
+    base = _empty_n_stat(args.b, a.rank)
     print(status)
-    print(f"a({a.text()}) = {a_value(a, args.b)}")
-    print(f"a({c.text()}) = {a_value(c, args.b)}")
+    print(f"a({a.text()}) = {n_stat(ka) - base}")
+    print(f"a({c.text()}) = {n_stat(kc) - base}")
     return 0
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
     from .adjacency import saturated_chain
-    from .families import family_table
+    from .families import _texts, family_table
     from .preorder import _cover_witness
 
     a = Bipartition.parse(args.bipartition)
     c = Bipartition.parse(args.bipartition2)
     chain = saturated_chain(a, c, args.b)
-    # parsed bipartitions are normalized, so every element is a member of the table
+    # parsed bipartitions are normalized, so every element is a member of
+    # its rank's family table and text table
     table = family_table(a.rank, args.b)
     kappas = [table.families[table.position[x]].kappa.entries for x in chain]
+    texts = list(map(_texts(table.n).__getitem__, chain))
     # saturated_chain's steps between distinct kappas are covers by construction
     steps = [
-        (None, None) if kx == ky else _cover_witness(kx, ky, args.b)
+        (None, None, None) if kx == ky else _cover_witness(kx, ky, args.b)
         for kx, ky in zip(kappas, kappas[1:])
     ]
     if args.format == "json":
         doc = {
             "b": args.b,
-            "chain": [bp.text() for bp in chain],
+            "chain": texts,
             "steps": [
                 {
                     "step": t,
-                    "from": chain[t].text(),
-                    "to": chain[t + 1].text(),
+                    "from": texts[t],
+                    "to": texts[t + 1],
                     "kappa_before": list(kappas[t]),
                     "kappa_after": list(kappas[t + 1]),
                     "move": None if move is None else [move.k1, move.k2],
-                    "nu": None if w is None else w.nu.text(),
+                    "nu": nu,
                     "l": None if w is None else w.l,
                     "transposed": None if w is None else w.transposed,
                 }
-                for t, (w, move) in enumerate(steps)
+                for t, (w, move, nu) in enumerate(steps)
             ],
         }
         _print_json(doc)
     else:
-        lines = [f"{x.text()}\tkappa={format_partition(kx)}" for x, kx in zip(chain, kappas)]
-        for t, (w, move) in enumerate(steps):
+        lines = [f"{text}\tkappa={format_partition(kx)}" for text, kx in zip(texts, kappas)]
+        for t, (w, move, nu) in enumerate(steps):
             if move is None:
                 lines[t] += "\tmove=-\twitness=family"
             else:
                 flag = "yes" if w.transposed else "no"
-                lines[t] += f"\tmove={move}\tnu={w.nu.text()}\tl={w.l}\ttransposed={flag}"
+                lines[t] += f"\tmove={move}\tnu={nu}\tl={w.l}\ttransposed={flag}"
         print("\n".join(lines))
     return 0
 

@@ -1,18 +1,22 @@
 """Enumeration of bipartitions and their grouping into families.
 
-Two bipartitions of n lie in the same family exactly when their kappa
-vectors agree; the table below groups the whole of the rank-n set at the
-common admissible size N = n, attaches a-values, and indexes the families
-by kappa, so every module locates a kappa of rank n through it.  Its
-position map sends every member to its family's position, so a pair or
-chain query on members of the rank reads their kappas off the table and a
-warm chain computes no kappa.  The module also exposes the Hasse diagram
-of the dominance order on the distinct kappa values.
+The enumeration of rank n is one text table, member to textual form in
+textual order, so each member of a rank is rendered once per process and
+every command that prints members (families, avalues, chain) reads its
+text there.  Two bipartitions of n lie in the same family exactly when
+their kappa vectors agree; the table below groups the whole of the rank-n
+set at the common admissible size N = n, attaches a-values, and indexes
+the families by kappa, so every module locates a kappa of rank n through
+it.  Its position map sends every member to its family's position, so a
+pair or chain query on members of the rank reads their kappas off the
+table and a warm chain computes no kappa.  The module also exposes the
+Hasse diagram of the dominance order on the distinct kappa values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .partitions import Parts, partitions_of
@@ -22,6 +26,17 @@ from .symbols import Bipartition, Kappa, _empty_n_stat, kappa, n_stat
 @lru_cache(maxsize=None)
 def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All bipartitions of rank n, sorted by their textual form."""
+    return tuple(_texts(n))
+
+
+@lru_cache(maxsize=None)
+def _texts(n: int) -> dict[Bipartition, str]:
+    """The textual form of every bipartition of rank n, in textual order.
+
+    The enumeration itself: each bipartition is rendered once, sorted by
+    that text, and the table is shared by every weight, so no query of
+    the rank (families, avalues or chain) renders a member again.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     bips = [
@@ -30,18 +45,7 @@ def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
         for a in partitions_of(k)
         for c in partitions_of(n - k)
     ]
-    return tuple(sorted(bips, key=Bipartition.text))
-
-
-@lru_cache(maxsize=None)
-def _texts(n: int) -> dict[Bipartition, str]:
-    """The textual form of every bipartition of rank n, in textual order.
-
-    One table per rank, shared by every weight, so that families and
-    avalues queries of a rank render no member again; chain and hasse
-    print no member list and build none.
-    """
-    return {bp: bp.text() for bp in enumerate_bipartitions(n)}
+    return dict(sorted(zip(bips, map(Bipartition.text, bips)), key=itemgetter(1)))
 
 
 class Family(NamedTuple):

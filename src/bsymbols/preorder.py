@@ -20,8 +20,9 @@ directly.  A family is its kappa, so _witness takes a cover's two kappas
 and its move, and checks what it builds with _witness_holds, the predicate
 behind witness_is_valid; witness_is_valid itself recomputes every kappa
 through real transposes, so it stays an independent check.  chain reads
-each cover's witness and move from _cover_witness, which memoizes _witness
-by the cover's kappas for the life of the process; a WitnessInvalid is
+each cover's witness, move and the text of the witness's nu from
+_cover_witness, which memoizes _witness by the cover's kappas for the life
+of the process, so a warm chain renders no witness; a WitnessInvalid is
 raised again on every call, as a raise is never stored.
 """
 
@@ -121,10 +122,11 @@ def _witness(lo: Parts, hi: Parts, b: int, move: BoxMove) -> InductionWitness:
 
 
 @lru_cache(maxsize=None)
-def _cover_witness(lo: Parts, hi: Parts, b: int) -> tuple[InductionWitness, BoxMove]:
-    """The witness and move of the cover lo -> hi, built once per process for chain."""
+def _cover_witness(lo: Parts, hi: Parts, b: int) -> tuple[InductionWitness, BoxMove, str]:
+    """The witness of the cover lo -> hi, its move and its nu's text, built once per process."""
     move = _single_move(lo, hi)
-    return _witness(lo, hi, b, move), move
+    w = _witness(lo, hi, b, move)
+    return w, move, w.nu.text()
 
 
 def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:

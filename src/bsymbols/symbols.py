@@ -54,7 +54,8 @@ class Bipartition(NamedTuple):
         left, sep, right = text.partition("|")
         if not sep or "|" in right:
             raise pt.NotAPartition(f"expected '<first>|<second>', got {text!r}")
-        return bipartition(parse_partition(left), parse_partition(right))
+        # parse_partition checks each component, so neither is checked again
+        return cls(normalize(parse_partition(left)), normalize(parse_partition(right)))
 
 
 def bipartition(first: Sequence[int], second: Sequence[int]) -> Bipartition:

@@ -798,19 +798,30 @@ PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
 
 def test_pinned_chains_replay_with_valid_witnesses(capsys):
     # every pinned chain, rebuilt in-process: its text output matches the
-    # pin, and each step of its JSON form passes the public witness_is_valid
+    # pin and agrees with its JSON form on every element, kappa, nu, l and
+    # transposed flag, and each JSON step passes the public witness_is_valid
     pins = json.loads(PINS.read_text())["pools"]["chain"]
     steps = []
     for pin in pins:
         argv = pin["argv"]
         code, out, _ = run(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (pin["rc"], pin["sha256"])
+        lines = out.splitlines()
         code, out, _ = run(capsys, argv[0], "--format", "json", *argv[1:])
         doc = json.loads(out)
         assert code == 0 and [doc["chain"][0], doc["chain"][-1]] == argv[-2:]
-        for step in doc["steps"]:
+        # the text output says what the JSON says, step by step
+        assert [row.split("\t")[0] for row in lines] == doc["chain"]
+        for row, step in zip(lines, doc["steps"]):
+            fields = dict(field.split("=") for field in row.split("\t")[1:])
+            assert fields["kappa"] == ",".join(map(str, step["kappa_before"]))
             if step["nu"] is None:
+                assert fields["witness"] == "family" and step["l"] is None
                 continue
+            transposed = {"yes": True, "no": False}[fields["transposed"]]
+            assert (fields["nu"], int(fields["l"]), transposed) == (
+                step["nu"], step["l"], step["transposed"]
+            )
             w = InductionWitness(Bipartition.parse(step["nu"]), step["l"], step["transposed"])
             a, c = Bipartition.parse(step["from"]), Bipartition.parse(step["to"])
             assert witness_is_valid(w, a, c, doc["b"]), (argv, step)
@@ -838,18 +849,59 @@ def counted_kappa(monkeypatch) -> list:
     return calls
 
 
-def test_a_warm_pass_of_the_pinned_chains_computes_no_kappa(capsys, monkeypatch):
-    # every element of a chain is a member of its rank's family table, so a
-    # chain whose table, poset and witnesses are built reads every kappa
+def warm_pinned_chains(capsys) -> tuple[list, list]:
+    """The pinned chains and their parsed queries, after one in-process pass."""
     pins = json.loads(PINS.read_text())["pools"]["chain"]
     parser = cli.build_parser()
     queries = [parser.parse_args(pin["argv"]) for pin in pins]
     for ns in queries:
         ns.func(ns)
     capsys.readouterr()
-    calls = counted_kappa(monkeypatch)
+    return pins, queries
+
+
+def replay(capsys, pins, queries):
     for pin, ns in zip(pins, queries):
         assert ns.func(ns) == pin["rc"] == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"], pin["argv"]
+
+
+def test_a_warm_pass_of_the_pinned_chains_computes_no_kappa(capsys, monkeypatch):
+    # every element of a chain is a member of its rank's family table, so a
+    # chain whose table, poset and witnesses are built reads every kappa
+    pins, queries = warm_pinned_chains(capsys)
+    calls = counted_kappa(monkeypatch)
+    replay(capsys, pins, queries)
     assert (len(pins), len(calls)) == (96, 0)
+
+
+def test_a_warm_pass_of_the_pinned_chains_renders_no_member_and_builds_no_witness(
+    capsys, monkeypatch
+):
+    # each element's text is in its rank's text table and each cover's
+    # witness, move and nu text in the cover memo
+    from bsymbols import preorder
+
+    pins, queries = warm_pinned_chains(capsys)
+    texts, witnesses = [], []
+    text, witness = Bipartition.text, preorder._witness
+    monkeypatch.setattr(Bipartition, "text", lambda bp: texts.append(bp) or text(bp))
+    monkeypatch.setattr(
+        preorder, "_witness", lambda *args: witnesses.append(args) or witness(*args)
+    )
+    replay(capsys, pins, queries)
+    assert (len(pins), len(texts), len(witnesses)) == (96, 0, 0)
+
+
+def test_compare_computes_each_kappa_once(capsys, monkeypatch):
+    # the order and both a-values are read off the two kappas at N = n
+    calls = counted_kappa(monkeypatch)
+    code, out, _ = run(capsys, "compare", "5,1|2,2,1", "3,3|2,2,1", "--b", "2")
+    assert code == 0
+    assert len(calls) == 2
+    a, c = map(Bipartition.parse, ("5,1|2,2,1", "3,3|2,2,1"))
+    assert out == (
+        f"GEQ\na(5,1|2,2,1) = {symbols.a_value(a, 2)}\n"
+        f"a(3,3|2,2,1) = {symbols.a_value(c, 2)}\n"
+    )

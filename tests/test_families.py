@@ -1,12 +1,15 @@
 import pytest
 
+import bsymbols
+from bsymbols import cli
 from bsymbols.families import (
+    _texts,
     enumerate_bipartitions,
     family_hasse,
     family_table,
 )
 from bsymbols.partitions import dominance_leq
-from bsymbols.symbols import EMPTY, a_value, kappa
+from bsymbols.symbols import EMPTY, Bipartition, a_value, kappa
 
 
 def brute_partition_count(n: int) -> int:
@@ -35,6 +38,32 @@ def test_enumeration_is_sorted_by_text():
         texts = [bp.text() for bp in enumerate_bipartitions(n)]
         assert texts == sorted(texts)
         assert len(set(texts)) == len(texts)
+
+
+def test_text_table_is_the_enumeration():
+    # one table per rank: its keys are the enumeration, in order, and each
+    # value is the member's text
+    for n in range(11):
+        texts = _texts(n)
+        assert tuple(texts) == enumerate_bipartitions(n)
+        assert all(text == bp.text() for bp, text in texts.items())
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        enumerate_bipartitions(-1)
+
+
+def test_a_cold_families_query_renders_each_member_once(monkeypatch, capsys):
+    calls = []
+    original = Bipartition.text
+
+    def counted(bp):
+        calls.append(bp)
+        return original(bp)
+
+    bsymbols.clear_caches()
+    monkeypatch.setattr(Bipartition, "text", counted)
+    assert cli.main(["families", "--n", "8", "--b", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == len(enumerate_bipartitions(8)) == 185
 
 
 def test_family_table_rank3_weight1():

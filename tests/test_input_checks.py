@@ -4,7 +4,7 @@ import pytest
 
 from bsymbols.adjacency import frame
 from bsymbols.errors import NotAdjacent, NotAPartition, NotComparable, SizeMismatch
-from bsymbols.families import enumerate_bipartitions, family_table
+from bsymbols.families import _texts, enumerate_bipartitions, family_table
 from bsymbols.partitions import (
     as_partition,
     break_points,
@@ -46,6 +46,7 @@ INPUT_CHECKS = {
         ValueError,
         "n must be >= 0",
     ),
+    "_texts": (lambda: _texts(-1), ValueError, "n must be >= 0"),
     "family_table": (lambda: family_table(1, -1), ValueError, "weight b must be >= 0"),
     "padded": (lambda: padded((1, 1, 1), 2), ValueError, "(1, 1, 1) is longer than 2"),
     "overlap_count": (lambda: overlap_count((1,), 0), ValueError, "run length must be >= 1"),

@@ -338,7 +338,8 @@ def test_witness_builder_matches_the_reference_builder():
 
 def test_cover_witness_is_the_witness_of_its_cover():
     # chain reads _cover_witness: on every cover with n <= 8 and b <= n + 1 it
-    # answers what _witness builds with the cover's move, cold and warm
+    # answers what _witness builds with the cover's move and the text of the
+    # witness's nu, cold and warm
     covers = [
         (families[i].kappa.entries, families[j].kappa.entries, b)
         for n in range(9)
@@ -352,13 +353,15 @@ def test_cover_witness_is_the_witness_of_its_cover():
     for lo, hi, b in covers:
         move = _single_move(lo, hi)
         cold[lo, hi, b] = preorder._cover_witness(lo, hi, b)
-        assert cold[lo, hi, b] == (preorder._witness(lo, hi, b, move), move)
+        w = preorder._witness(lo, hi, b, move)
+        assert cold[lo, hi, b] == (w, move, w.nu.text())
     assert preorder._cover_witness.cache_info().currsize == len(covers) == 4682
     for lo, hi, b in covers:
         move = _single_move(lo, hi)
         warm = preorder._cover_witness(lo, hi, b)
         assert warm is cold[lo, hi, b]
-        assert warm == (preorder._witness(lo, hi, b, move), move)
+        w = preorder._witness(lo, hi, b, move)
+        assert warm == (w, move, w.nu.text())
     assert preorder._cover_witness.cache_info().hits == len(covers)
 
 

@@ -308,6 +308,20 @@ def test_bipartition_text_round_trip():
         assert Bipartition.parse(text).text() == text
 
 
+def test_parse_checks_each_component_once(monkeypatch):
+    # parse_partition returns a checked partition, so parse only normalizes it
+    from bsymbols import partitions
+
+    calls = []
+    original = partitions.as_partition
+    monkeypatch.setattr(partitions, "as_partition", lambda seq: calls.append(seq) or original(seq))
+    for text, first, second in (("5,1|2,2,1", (5, 1), (2, 2, 1)), ("2,0|1,0,0", (2,), (1,))):
+        calls.clear()
+        parsed = Bipartition.parse(text)
+        assert len(calls) == 2
+        assert parsed == Bipartition(first, second)
+
+
 # reference definitions, written from the module docstring with every row
 # and vector padded to its full length, for the differential tests below
 
