@@ -10,9 +10,12 @@ too large to build) and 141 when the reader closed stdout early.
 
 The commands read what the process already holds rather than compute it
 again: families, avalues and chain print members from the rank's text
-table, chain reads each element's kappa off the family table and each
-cover's witness, move and nu text from the cover memo, and compare reads
-both a-values off the two kappas it compares.
+table, and compare reads both a-values off the two kappas it compares.
+Every bipartition argument is read through Bipartition.parse's memo.
+chain reads each element's kappa off the family table and its text from
+the kappa-text memo _kappa_text, and each cover's witness, move, nu text
+and whole step text from the cover memo, so a warm chain parses, computes
+and renders nothing and its text output only joins the strings it holds.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from .errors import (
     BSymbolsError,
@@ -28,7 +32,7 @@ from .errors import (
     NotComparable,
     RankMismatch,
 )
-from .partitions import _numeral, dominance_leq, format_partition
+from .partitions import Parts, _numeral, dominance_leq, format_partition
 from .symbols import Bipartition, _empty_n_stat, _rank_kappas, kappa, n_stat, symbol
 
 # The layers past symbols are imported inside the commands that use them: a
@@ -144,6 +148,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+# a step within one family: no move and no witness
+_FAMILY_STEP = (None, None, None, "\tmove=-\twitness=family")
+
+
+@lru_cache(maxsize=None)
+def _kappa_text(entries: Parts) -> str:
+    """A kappa as chain prints it, rendered once per process.
+
+    The key is the entries tuple the family table holds, so the memo adds
+    only the text.
+    """
+    return format_partition(entries)
+
+
 def cmd_chain(args: argparse.Namespace) -> int:
     from .adjacency import saturated_chain
     from .families import _texts, family_table
@@ -159,7 +177,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     texts = list(map(_texts(table.n).__getitem__, chain))
     # saturated_chain's steps between distinct kappas are covers by construction
     steps = [
-        (None, None, None) if kx == ky else _cover_witness(kx, ky, args.b)
+        _FAMILY_STEP if kx == ky else _cover_witness(kx, ky, args.b)
         for kx, ky in zip(kappas, kappas[1:])
     ]
     if args.format == "json":
@@ -178,19 +196,18 @@ def cmd_chain(args: argparse.Namespace) -> int:
                     "l": None if w is None else w.l,
                     "transposed": None if w is None else w.transposed,
                 }
-                for t, (w, move, nu) in enumerate(steps)
+                for t, (w, move, nu, _) in enumerate(steps)
             ],
         }
         _print_json(doc)
     else:
-        lines = [f"{text}\tkappa={format_partition(kx)}" for text, kx in zip(texts, kappas)]
-        for t, (w, move, nu) in enumerate(steps):
-            if move is None:
-                lines[t] += "\tmove=-\twitness=family"
-            else:
-                flag = "yes" if w.transposed else "no"
-                lines[t] += f"\tmove={move}\tnu={nu}\tl={w.l}\ttransposed={flag}"
-        print("\n".join(lines))
+        tails = [step[3] for step in steps] + [""]  # the last element takes no step
+        print(
+            "\n".join(
+                f"{text}\tkappa={_kappa_text(kx)}{tail}"
+                for text, kx, tail in zip(texts, kappas, tails)
+            )
+        )
     return 0
 
 

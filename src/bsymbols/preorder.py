@@ -20,10 +20,11 @@ directly.  A family is its kappa, so _witness takes a cover's two kappas
 and its move, and checks what it builds with _witness_holds, the predicate
 behind witness_is_valid; witness_is_valid itself recomputes every kappa
 through real transposes, so it stays an independent check.  chain reads
-each cover's witness, move and the text of the witness's nu from
-_cover_witness, which memoizes _witness by the cover's kappas for the life
-of the process, so a warm chain renders no witness; a WitnessInvalid is
-raised again on every call, as a raise is never stored.
+each cover's witness, move, the text of the witness's nu and the whole
+text of the step from _cover_witness, which memoizes _witness by the
+cover's kappas for the life of the process, so a warm chain builds and
+renders no witness and no move; a WitnessInvalid is raised again on every
+call, as a raise is never stored.
 """
 
 from __future__ import annotations
@@ -122,11 +123,18 @@ def _witness(lo: Parts, hi: Parts, b: int, move: BoxMove) -> InductionWitness:
 
 
 @lru_cache(maxsize=None)
-def _cover_witness(lo: Parts, hi: Parts, b: int) -> tuple[InductionWitness, BoxMove, str]:
-    """The witness of the cover lo -> hi, its move and its nu's text, built once per process."""
+def _cover_witness(lo: Parts, hi: Parts, b: int) -> tuple[InductionWitness, BoxMove, str, str]:
+    """The witness of the cover lo -> hi, its move, its nu's text and its step text.
+
+    Built and rendered once per process.  The step text is what chain's
+    text output appends to the cover's lower element: its move, nu, l and
+    transposed fields.
+    """
     move = _single_move(lo, hi)
     w = _witness(lo, hi, b, move)
-    return w, move, w.nu.text()
+    nu = w.nu.text()
+    flag = "yes" if w.transposed else "no"
+    return w, move, nu, f"\tmove={move}\tnu={nu}\tl={w.l}\ttransposed={flag}"
 
 
 def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:

@@ -20,6 +20,7 @@ first, and from_sympartition builds the canonical one alone.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, count
 from operator import add, mul
 from typing import Iterator, NamedTuple, Sequence, Set
@@ -51,11 +52,30 @@ class Bipartition(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "Bipartition":
-        left, sep, right = text.partition("|")
-        if not sep or "|" in right:
-            raise pt.NotAPartition(f"expected '<first>|<second>', got {text!r}")
-        # parse_partition checks each component, so neither is checked again
-        return cls(normalize(parse_partition(left)), normalize(parse_partition(right)))
+        """The bipartition written as '<first>|<second>'.
+
+        A str goes through the memo _parsed, which holds the last
+        _PARSE_MEMO_SIZE texts parsed; anything else is parsed
+        uncached, so it raises what the parser raises on it, never the
+        memo's TypeError for an unhashable key.
+        """
+        return _parsed(text) if isinstance(text, str) else _parsed.__wrapped__(text)
+
+
+# Bipartition.parse's memo, the one bounded memo of the package: a
+# long-lived caller may parse any number of distinct texts, and every
+# pinned workload parses fewer than this many, so none evicts.
+_PARSE_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parsed(text: str) -> Bipartition:
+    """Bipartition.parse; a raise is never stored, so a bad text raises on every call."""
+    left, sep, right = text.partition("|")
+    if not sep or "|" in right:
+        raise pt.NotAPartition(f"expected '<first>|<second>', got {text!r}")
+    # parse_partition checks each component, so neither is checked again
+    return Bipartition(normalize(parse_partition(left)), normalize(parse_partition(right)))
 
 
 def bipartition(first: Sequence[int], second: Sequence[int]) -> Bipartition:

@@ -2,9 +2,11 @@ import sys
 
 import bsymbols
 from bsymbols.adjacency import _poset
+from bsymbols.cli import _kappa_text
 from bsymbols.families import _texts, enumerate_bipartitions, family_table
 from bsymbols.partitions import partitions_of
 from bsymbols.preorder import _cover_witness, _oracle_rows, preceq_oracle
+from bsymbols.symbols import Bipartition, _parsed
 from bsymbols.typea import _typea_rows, preceq_typeA_oracle
 
 CACHES = (
@@ -16,6 +18,8 @@ CACHES = (
     enumerate_bipartitions,
     _texts,
     partitions_of,
+    _parsed,
+    _kappa_text,
 )
 
 
@@ -38,6 +42,8 @@ def test_clear_caches_empties_every_cache():
     texts = _texts(5)
     hi, lo = (f.kappa.entries for f in family_table(3, 1).families[:2])  # a cover
     witness = _cover_witness(lo, hi, 1)
+    parsed = Bipartition.parse("3,2|1")
+    text = _kappa_text(lo)
     assert all(c.cache_info().currsize > 0 for c in CACHES)
     bsymbols.clear_caches()
     assert [c.cache_info().currsize for c in CACHES] == [0] * len(CACHES)
@@ -48,3 +54,6 @@ def test_clear_caches_empties_every_cache():
     assert preceq_typeA_oracle(4).rows == typea.rows
     assert _texts(5) == texts
     assert _cover_witness(lo, hi, 1) == witness
+    reparsed = Bipartition.parse("3,2|1")
+    assert reparsed == parsed and reparsed is not parsed
+    assert _kappa_text(lo) == text == "5,3,2,1,1,0,0"

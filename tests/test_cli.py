@@ -451,14 +451,16 @@ def test_chain_memoizes_no_failed_cover(capsys, monkeypatch):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CHAIN_16 = ("chain", "-|" + ",".join("1" * 16), "16|-", "--b", "3")
+CHAIN_16 = ("chain", "-|" + ",".join("1" * 16), "16|-")
 
 
 @pytest.mark.parametrize("fmt", ["txt", "json"])
-def test_chain_reads_the_same_witnesses_cold_warm_and_cleared(capsys, fmt):
-    # one process: a cold memo, the warm memo, then after clear_caches
-    argv = CHAIN_16 + (("--format", "json") if fmt == "json" else ())
-    golden = (GOLDEN / f"chain-16-b3.{fmt}").read_text()
+@pytest.mark.parametrize("b", [3, 16], ids=["b3", "b16"])
+def test_chain_reads_the_same_witnesses_cold_warm_and_cleared(capsys, b, fmt):
+    # one process: cold memos, the warm memos, then after clear_caches; at
+    # b = 16, 58 of the 100 steps take the transposed witness (46 of 76 at b = 3)
+    argv = CHAIN_16 + ("--b", str(b)) + (("--format", "json") if fmt == "json" else ())
+    golden = (GOLDEN / f"chain-16-b{b}.{fmt}").read_text()
     bsymbols.clear_caches()
     for clear in (False, False, True):
         if clear:
@@ -829,24 +831,32 @@ def test_pinned_chains_replay_with_valid_witnesses(capsys):
     assert (len(pins), len(steps), sum(steps)) == (96, 784, 497)
 
 
-def counted_kappa(monkeypatch) -> list:
-    """Count the calls of kappa in every bsymbols module that holds it."""
+def counted_calls(monkeypatch, original, name: str, holders: set) -> list:
+    """Count the calls of original in every bsymbols module that holds it as name.
+
+    holders names modules that must be among them.
+    """
     calls = []
-    original = symbols.kappa
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    holders = [
-        name
-        for name, mod in list(sys.modules.items())
-        if name.split(".")[0] == "bsymbols" and vars(mod).get("kappa") is original
+    found = [
+        module
+        for module, mod in list(sys.modules.items())
+        if module.split(".")[0] == "bsymbols" and vars(mod).get(name) is original
     ]
-    assert {"bsymbols.symbols", "bsymbols.cli", "bsymbols.preorder"} <= set(holders)
-    for name in holders:
-        monkeypatch.setattr(sys.modules[name], "kappa", counted)
+    assert holders <= set(found)
+    for module in found:
+        monkeypatch.setattr(sys.modules[module], name, counted)
     return calls
+
+
+def counted_kappa(monkeypatch) -> list:
+    """Count the calls of kappa in every bsymbols module that holds it."""
+    holders = {"bsymbols.symbols", "bsymbols.cli", "bsymbols.preorder"}
+    return counted_calls(monkeypatch, symbols.kappa, "kappa", holders)
 
 
 def warm_pinned_chains(capsys) -> tuple[list, list]:
@@ -892,6 +902,37 @@ def test_a_warm_pass_of_the_pinned_chains_renders_no_member_and_builds_no_witnes
     )
     replay(capsys, pins, queries)
     assert (len(pins), len(texts), len(witnesses)) == (96, 0, 0)
+
+
+def test_a_warm_pass_of_the_pinned_chains_parses_nothing_and_renders_no_kappa_or_move(
+    capsys, monkeypatch
+):
+    # the endpoints are in the parse memo, each kappa's text in chain's
+    # kappa-text memo and each cover's step text in the cover memo, so in
+    # either format a warm chain only joins strings it holds
+    from bsymbols import partitions
+
+    pins, queries = warm_pinned_chains(capsys)
+    parser = cli.build_parser()
+    as_json = [parser.parse_args([p["argv"][0], "--format", "json", *p["argv"][1:]]) for p in pins]
+    docs = []
+    for ns in as_json:
+        assert ns.func(ns) == 0
+        docs.append(capsys.readouterr().out)
+    parses = counted_calls(
+        monkeypatch, partitions.parse_partition, "parse_partition", {"bsymbols.symbols"}
+    )
+    renders = counted_calls(
+        monkeypatch, partitions.format_partition, "format_partition", {"bsymbols.cli"}
+    )
+    moves = []
+    move_text = partitions.BoxMove.__str__
+    monkeypatch.setattr(partitions.BoxMove, "__str__", lambda m: moves.append(m) or move_text(m))
+    replay(capsys, pins, queries)
+    for ns, doc in zip(as_json, docs):
+        assert ns.func(ns) == 0
+        assert capsys.readouterr().out == doc
+    assert (len(pins), len(parses), len(renders), len(moves)) == (96, 0, 0, 0)
 
 
 def test_compare_computes_each_kappa_once(capsys, monkeypatch):

@@ -338,8 +338,8 @@ def test_witness_builder_matches_the_reference_builder():
 
 def test_cover_witness_is_the_witness_of_its_cover():
     # chain reads _cover_witness: on every cover with n <= 8 and b <= n + 1 it
-    # answers what _witness builds with the cover's move and the text of the
-    # witness's nu, cold and warm
+    # answers what _witness builds with the cover's move, the text of the
+    # witness's nu and the step text chain prints, cold and warm
     covers = [
         (families[i].kappa.entries, families[j].kappa.entries, b)
         for n in range(9)
@@ -348,21 +348,27 @@ def test_cover_witness_is_the_witness_of_its_cover():
         for i, ups in enumerate(_poset(n, b).cover_up)
         for j in ups
     ]
+
+    def built(lo, hi, b):
+        move = _single_move(lo, hi)
+        w = preorder._witness(lo, hi, b, move)
+        flag = {False: "no", True: "yes"}[w.transposed]
+        step = f"\tmove=Up({move.k1},{move.k2})\tnu={w.nu.text()}\tl={w.l}\ttransposed={flag}"
+        return w, move, w.nu.text(), step
+
     preorder._cover_witness.cache_clear()
     cold = {}
     for lo, hi, b in covers:
-        move = _single_move(lo, hi)
         cold[lo, hi, b] = preorder._cover_witness(lo, hi, b)
-        w = preorder._witness(lo, hi, b, move)
-        assert cold[lo, hi, b] == (w, move, w.nu.text())
+        assert cold[lo, hi, b] == built(lo, hi, b)
     assert preorder._cover_witness.cache_info().currsize == len(covers) == 4682
     for lo, hi, b in covers:
-        move = _single_move(lo, hi)
         warm = preorder._cover_witness(lo, hi, b)
         assert warm is cold[lo, hi, b]
-        w = preorder._witness(lo, hi, b, move)
-        assert warm == (w, move, w.nu.text())
+        assert warm == built(lo, hi, b)
     assert preorder._cover_witness.cache_info().hits == len(covers)
+    # both branches are among them
+    assert {w.transposed for w, *_ in cold.values()} == {False, True}
 
 
 @pytest.mark.parametrize("transposed", [False, True])

@@ -1,5 +1,7 @@
+import json
 from collections import Counter
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from bsymbols.partitions import (
     up,
 )
 from bsymbols.symbols import (
+    _PARSE_MEMO_SIZE,
     EMPTY,
     Bipartition,
     _dual,
@@ -27,6 +30,7 @@ from bsymbols.symbols import (
     bipartition,
     f_stat,
     family_members,
+    _parsed,
     from_sympartition,
     is_sympartition,
     kappa,
@@ -309,17 +313,81 @@ def test_bipartition_text_round_trip():
 
 
 def test_parse_checks_each_component_once(monkeypatch):
-    # parse_partition returns a checked partition, so parse only normalizes it
-    from bsymbols import partitions
+    # parse_partition returns a checked partition, so parse only normalizes
+    # it; the memo then answers the same text with no check at all
+    from bsymbols import partitions, symbols
 
     calls = []
     original = partitions.as_partition
     monkeypatch.setattr(partitions, "as_partition", lambda seq: calls.append(seq) or original(seq))
+    symbols._parsed.cache_clear()
     for text, first, second in (("5,1|2,2,1", (5, 1), (2, 2, 1)), ("2,0|1,0,0", (2,), (1,))):
         calls.clear()
         parsed = Bipartition.parse(text)
         assert len(calls) == 2
         assert parsed == Bipartition(first, second)
+        assert Bipartition.parse(text) is parsed
+        assert len(calls) == 2
+
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+
+
+def test_a_bad_text_raises_the_same_error_on_every_parse():
+    # the parse memo stores no raise: every pinned bad text that fails to
+    # parse fails again with the same message, and the memo does not grow
+    pool = json.loads(PINS.read_text())["pools"]["bad"]
+    texts = [t for pin in pool for t in pin["argv"] if "|" in t]
+    _parsed.cache_clear()
+    failed = 0
+    for text in texts:
+        size = _parsed.cache_info().currsize
+        try:
+            Bipartition.parse(text)
+        except NotAPartition as exc:
+            with pytest.raises(NotAPartition) as again:
+                Bipartition.parse(text)
+            assert str(again.value) == str(exc)
+            assert _parsed.cache_info().currsize == size
+            failed += 1
+    assert (len(texts), failed) == (45, 19)
+
+
+def test_parse_memo_reads_equal_texts_as_one_bipartition():
+    for text in ("3,2,0|1", " 3,2|1", "3,2|1,0", "3,2|1"):
+        assert Bipartition.parse(text) == Bipartition((3, 2), (1,))
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (None, AttributeError),
+        (5, AttributeError),
+        (["3|1"], AttributeError),  # unhashable: no memo key is made of it
+        ({"3|1"}, AttributeError),
+        (b"3|1", TypeError),
+        (bytearray(b"3|1"), TypeError),
+    ],
+)
+def test_parse_of_a_non_str_raises_what_the_parser_raises(value, error):
+    size = _parsed.cache_info().currsize
+    with pytest.raises(error):
+        Bipartition.parse(value)
+    assert _parsed.cache_info().currsize == size
+
+
+def test_parse_memo_keeps_its_bound():
+    # a fixed bound of at least 1,024 texts: more distinct texts evict, and
+    # an evicted text parses as before
+    assert _parsed.cache_info().maxsize == _PARSE_MEMO_SIZE >= 1024
+    _parsed.cache_clear()
+    texts = [f"{k}|-" for k in range(1, _PARSE_MEMO_SIZE + 101)]
+    for text in texts:
+        Bipartition.parse(text)
+    assert _parsed.cache_info().currsize == _PARSE_MEMO_SIZE
+    assert Bipartition.parse(texts[0]) == Bipartition((1,), ())
+    assert _parsed.cache_info().currsize == _PARSE_MEMO_SIZE
+    _parsed.cache_clear()
 
 
 # reference definitions, written from the module docstring with every row
