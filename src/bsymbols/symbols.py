@@ -12,17 +12,17 @@ and kappa is the multiset of all 2N+b row entries sorted decreasingly.
 Equality of kappa vectors cuts out the families, and their dominance order
 is the order studied by the rest of the package.  The a-function is the
 weighted sum n_stat(kappa) normalized so that the empty bipartition gets 0.
-The value counts of a sympartition fix its symbol rows up to which row
-takes each free singleton, and one walk over the values builds the
-preimage of a choice: _fiber yields every choice's, the canonical one
-first, and from_sympartition builds the canonical one alone.
+A sympartition, padded and read smallest first, fixes its symbol rows up
+to which row takes each free singleton; one walk over that vector, with no
+count table, builds the preimage of a choice: _fiber yields every choice's,
+the canonical one first, and from_sympartition builds the canonical one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, count
-from operator import add, mul
+from itertools import combinations, count, pairwise
+from operator import add, eq, mul
 from typing import Iterator, NamedTuple, Sequence, Set
 
 from . import partitions as pt
@@ -119,10 +119,10 @@ def _admitted(bp: Bipartition, b: int, N: int | None) -> tuple[Parts, Parts, int
         first = normalize(first)
     if second and not second[-1]:
         second = normalize(second)
-    least = max(len(first), len(second))
     if N is None:
-        N = least
-    elif N < least:
+        N = max(len(first), len(second))
+    elif N < len(first) or N < len(second):
+        least = max(len(first), len(second))
         raise NotAdmissible(f"N={N} is below the minimal admissible {least} for {bp.text()}")
     return first, second, N
 
@@ -135,31 +135,32 @@ def symbol(bp: Bipartition, b: int, N: int | None = None) -> Symbol:
     gives rows no bipartition has.
     """
     first, second, N = _admitted(bp, b, N)
-    return Symbol(b, N, tuple(_row(second, N)[::-1]), tuple(_row(first, N + b)[::-1]))
-
-
-def _row(parts: Parts, c: int) -> list[int]:
-    """The row l_j - j + c, j = 1..c, largest first, of a normalized partition with at most c parts.
-
-    Part l_j adds l_j to c - j; the missing parts leave the staircase c-len-1, ..., 0.
-    """
-    return [*map(add, parts, range(c - 1, -1, -1)), *range(c - 1 - len(parts), -1, -1)]
+    c = N + b
+    # smallest first: the staircase 0, ..., c - len - 1, then l_j + c - j for j = len, ..., 1
+    row1 = (*range(c - len(first)), *map(add, reversed(first), range(c - len(first), c)))
+    row2 = (*range(N - len(second)), *map(add, reversed(second), range(N - len(second), N)))
+    return Symbol(b, N, row2, row1)
 
 
 def kappa(bp: Bipartition, b: int, N: int | None = None) -> Kappa:
     """All 2N+b symbol entries of bp sorted decreasingly.
 
-    The two rows come largest first, so the sort merges two runs.  bp's
-    components are not validated: build bp with bipartition() or
-    Bipartition.parse, which do, since a raw Bipartition of non-partitions
-    gives a vector no bipartition has (Bipartition((1, 2), ()) at b = 0
-    gives (2, 2, 1, 0)).
+    One list holds both rows, largest first: in a row of length c, part
+    l_j adds l_j to c - j, and the missing parts leave the staircase
+    c - len - 1, ..., 0.  So the one sort merges two runs.  bp's components
+    are not validated: build bp with bipartition() or Bipartition.parse,
+    which do, since a raw Bipartition of non-partitions gives a vector no
+    bipartition has (Bipartition((1, 2), ()) at b = 0 gives (2, 2, 1, 0)).
     """
     first, second, N = _admitted(bp, b, N)
-    entries = _row(first, N + b)
-    entries += _row(second, N)
+    c = N + b
+    entries = [
+        *map(add, first, count(c - 1, -1)), *range(c - 1 - len(first), -1, -1),
+        *map(add, second, count(N - 1, -1)), *range(N - 1 - len(second), -1, -1),
+    ]
     entries.sort(reverse=True)
-    return Kappa(tuple(entries), b, N)
+    # tuple.__new__ builds the NamedTuple without its Python-level __new__
+    return tuple.__new__(Kappa, (tuple(entries), b, N))
 
 
 def _common_rank(a: Bipartition, c: Bipartition) -> int:
@@ -234,23 +235,23 @@ def _empty_n_stat(b: int, N: int) -> int:
     return (b * (b - 1) * (3 * N + b - 2) + N * (N - 1) * (6 * b + 4 * N - 5)) // 6
 
 
-def _profile(p: Sequence[int], b: int, N: int, n: int) -> dict[int, int] | None:
-    """Value counts of p padded to 2N+b entries, or None if p is no sympartition."""
+def _profile(p: Sequence[int], b: int, N: int, n: int) -> tuple[Parts, int]:
+    """p padded to 2N+b entries, smallest first, and its number of doubled values.
+
+    Raises NotSympartition when p is no (b, N, n)-sympartition.
+    """
     if b < 0 or N < 0 or n < 0:
         raise ValueError("b, N, n must all be >= 0")
     parts = pt.as_partition(p)
     length = 2 * N + b
-    if len(parts) > length or sum(parts) != f_stat(b, N, n):
-        return None
-    counts: dict[int, int] = {}
-    for v in parts:
-        counts[v] = counts.get(v, 0) + 1
-    if length > len(parts):
-        counts[0] = counts.get(0, 0) + length - len(parts)
-    # with no value thrice, length - len(counts) is the number of doubles
-    if counts and max(counts.values()) > 2 or length - len(counts) > N:
-        return None
-    return counts if all(map(counts.__contains__, range(b))) else None
+    if len(parts) <= length and sum(parts) == f_stat(b, N, n):
+        rising = (0,) * (length - len(parts)) + parts[::-1]
+        values = set(rising)
+        doubles = length - len(values)  # the repeats, each a double when no value is thrice
+        thrice = doubles > 1 and any(map(eq, rising, rising[2:]))  # a third copy takes two repeats
+        if doubles <= N and not thrice and values.issuperset(range(b)):
+            return rising, doubles
+    raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
 
 
 def is_sympartition(p: Sequence[int], b: int, N: int, n: int) -> bool:
@@ -262,56 +263,50 @@ def is_sympartition(p: Sequence[int], b: int, N: int, n: int) -> bool:
     kappa images because the bottom of the long row of any symbol with N
     admissible is the staircase b-1, ..., 1, 0.
     """
-    return _profile(p, b, N, n) is not None
+    try:
+        _profile(p, b, N, n)
+    except NotSympartition:
+        return False
+    return True
 
 
-def _free_singletons(
-    p: Sequence[int], b: int, N: int, n: int
-) -> tuple[dict[int, int], list[int], int]:
-    """The value counts of p, its free singletons and how many of them row2 takes.
+def _split(rising: Parts, b: int, low: int) -> Bipartition:
+    """The preimage whose row2 takes the free singletons the bitmask low sets.
 
-    The counts run largest value first, the free singletons smallest first.
-    Raises NotSympartition when p is no (b, N, n)-sympartition.
-    """
-    counts = _profile(p, b, N, n)
-    if counts is None:
-        raise NotSympartition(f"{tuple(p)} is not a ({b},{N},{n})-sympartition")
-    free = [v for v, c in reversed(counts.items()) if c == 1 and v >= b]
-    to_row2 = len(counts) - N - b  # row2 is every doubled value and these free singletons
-    assert 0 <= to_row2 <= len(free)
-    return counts, free, to_row2
-
-
-def _split(counts: dict[int, int], low: Sequence[int], b: int, N: int) -> Bipartition:
-    """The preimage whose row2 takes the free singletons low (increasing).
-
-    One walk over the values, largest first, appends each value's part to
-    row1, row2 or both: in a strictly decreasing row, an entry v with e
-    entries below it has part v - e, and the parts 0 at the bottom of a
-    row are left out.
+    Bit k of low stands for the k-th free singleton, smallest first.  One
+    walk over the padded vector, smallest entry first: a doubled value puts
+    its first copy in row1 and its second in row2, a singleton below b goes
+    to row1 (the staircase at its bottom), a free singleton where its bit
+    says.  An entry's part is the entry minus the entries placed below it
+    in its row; the parts 0 at the bottom of a row are left out.
     """
     first: list[int] = []
     second: list[int] = []
-    below1, below2 = N + b - 1, N - 1  # entries below the next one of each row
-    k = len(low) - 1  # low[k] is the largest free singleton row2 still takes
-    for v, c in counts.items():
-        if c == 2:
+    below1 = below2 = 0
+    pairs = pairwise(rising + (-1,))  # each entry with the one above it
+    for v, above in pairs:
+        if v == above:  # a doubled value: its first copy to row1, its second to row2
+            next(pairs)
             if v > below1:
                 first.append(v - below1)
+            below1 += 1
+            to_row2 = True
+        elif v < b:  # the staircase: row1 below v holds 0..v-1, so its part is 0
+            below1 += 1
+            continue
+        else:  # a free singleton
+            to_row2 = low & 1
+            low >>= 1
+        if to_row2:
             if v > below2:
                 second.append(v - below2)
-            below1 -= 1
-            below2 -= 1
-        elif k >= 0 and v == low[k]:
-            if v > below2:
-                second.append(v - below2)
-            below2 -= 1
-            k -= 1
+            below2 += 1
         else:
             if v > below1:
                 first.append(v - below1)
-            below1 -= 1
-    return Bipartition(tuple(first), tuple(second))
+            below1 += 1
+    # tuple.__new__ builds the NamedTuple without its Python-level __new__
+    return tuple.__new__(Bipartition, (tuple(first[::-1]), tuple(second[::-1])))
 
 
 def _fiber(p: Sequence[int], b: int, N: int, n: int) -> Iterator[Bipartition]:
@@ -320,23 +315,24 @@ def _fiber(p: Sequence[int], b: int, N: int, n: int) -> Iterator[Bipartition]:
     The profile of p fixes the symbol rows up to one freedom: every doubled
     value puts one copy in each row, the staircase values 0..b-1 sit at the
     bottom of row1, and the remaining singletons of value >= b are split
-    between the top of row1 and row2.  The first split keeps the largest
-    free singletons in row1.
+    between the top of row1 and row2, which takes N minus the doubles of
+    them.  The first split keeps the largest free singletons in row1.
     """
-    counts, free, to_row2 = _free_singletons(p, b, N, n)
-    for low in combinations(free, to_row2):
-        yield _split(counts, low, b, N)
+    rising, doubles = _profile(p, b, N, n)
+    free = sum(v >= b and rising.count(v) == 1 for v in set(rising))
+    for low in combinations(range(free), N - doubles):
+        yield _split(rising, b, sum(1 << k for k in low))
 
 
 def from_sympartition(p: Sequence[int], b: int, N: int, n: int) -> Bipartition:
     """One bipartition of n whose kappa at (b, N) equals p.
 
     The canonical choice, the fiber's first, keeps the largest free
-    singletons in row1 and gives row2 the smallest, so the result is
-    deterministic; the full fiber is family_members.
+    singletons in row1 and gives row2 the smallest, the N - doubles low
+    bits, so the result is deterministic; the full fiber is family_members.
     """
-    counts, free, to_row2 = _free_singletons(p, b, N, n)
-    return _split(counts, free[:to_row2], b, N)
+    rising, doubles = _profile(p, b, N, n)
+    return _split(rising, b, (1 << (N - doubles)) - 1)
 
 
 def family_members(p: Sequence[int], b: int, N: int, n: int) -> Set[Bipartition]:

@@ -15,15 +15,16 @@ last.  The three rank-wide comparisons (the oracle, N-stability, type A)
 compare whole bitset rows from adjacency.dominance_rows, not pairs.  The
 round trip checks from_sympartition on every generated vector and counts
 each rank's bucket once it is checked; one search per (b, N) generates the
-vectors of all its ranks at once, recording each vector where its last
-value completes it.  The witness suite calls preorder._witness, the one
-witness builder, once per cover on the table's kappas and counts every
-member pair; a transposed cover is certified on the duals of its kappas,
-so the suite checks each member's dual against its transpose's kappa.  The
-frame suite decides each window move from lo's neighbours (is it legal)
-and the prefix-sum slack P_hi - P_lo (does it stay at or below hi), with
-no vector built.  a-monotonicity decides each family's row with one AND
-against the mask of the families of larger a.
+vectors of all its ranks at once, carries each prefix as a tuple, places
+below b the one value that may come next with no loop, and records each
+vector where its last value completes it.  The witness suite calls
+preorder._witness, the one witness builder, once per cover on the table's
+kappas and counts every member pair; a transposed cover is certified on
+the duals of its kappas, so the suite checks each member's dual against
+its transpose's kappa.  The frame suite decides each window move from lo's
+neighbours (is it legal) and the prefix-sum slack P_hi - P_lo (does it
+stay at or below hi), with no vector built.  a-monotonicity decides each
+family's row with one AND against the mask of the families of larger a.
 """
 
 from __future__ import annotations
@@ -81,23 +82,24 @@ def _sympartitions_by_rank(b: int, N: int, hi: int) -> list[list[Parts]]:
     decreasing vector of length 2N+b whose values repeat at most twice,
     with at most N repeated values, containing every value below b, and
     whose total is f(b,N,n) for some n <= hi: values come largest first,
-    a branch stops once it skips one below b, keeps a slot for each still
-    to come, and is cut when no total in [f(b,N,0), f(b,N,hi)] can still
-    be reached.  A vector is recorded where its last value completes it,
-    with no call for the empty rest.  Bucket n holds the rank-n vectors in
-    the order of the search, which is the order of a search for that rank
-    alone.
+    a branch never skips one below b (there the next value is the one just
+    below, placed with no loop), keeps a slot for each still to come, and
+    is cut when no total in [f(b,N,0), f(b,N,hi)] can still be reached.  A
+    prefix is a tuple, its parent's plus one or two entries, and a vector
+    is recorded where its last value completes it, with no call for the
+    empty rest.  Bucket n holds the rank-n vectors in the order of the
+    search, which is the order of a search for that rank alone.
     """
 
-    def rec(slots: int, top: int, total: int, doubles_left: int, acc: list[int]) -> None:
+    def rec(slots: int, top: int, total: int, doubles_left: int, acc: Parts) -> None:
         # total is what the vector still lacks to reach f(b, N, hi); slots > 0
-        moves = ((1, slots - 1),)  # (multiplicity, slots left)
-        if doubles_left and slots >= 2:
-            moves = ((2, slots - 2),) + moves
-        for v in range(min(top, total), -1, -1):
+        options = (moves if doubles_left else singles)[slots]
+        start = top if top < total else total  # the largest value that still fits
+        # no value below b may be skipped, so under b the next value is top
+        for v in range(start, -1, -1) if top >= b else (top,) if start == top else ():
             if v < top and v < b - 1:  # skips v + 1 < b, as does every smaller v
                 break
-            for mult, rest_slots in moves:
+            for mult, rest_slots in options:
                 # a slot for each of the min(v, b) values below b still to
                 # come, and no value below v taken more than twice
                 if rest_slots < v and rest_slots < b or rest_slots > 2 * v:
@@ -106,22 +108,24 @@ def _sympartitions_by_rank(b: int, N: int, hi: int) -> list[list[Parts]]:
                 low = least[rest_slots]
                 if not low <= rest_total <= rest_slots * (v - 1) - low + hi:
                     continue
+                head = acc + (v,) * mult
                 if rest_slots == 0:  # complete, and rest_total <= hi: rank hi - rest_total
-                    buckets[hi - rest_total].append((*acc, *[v] * mult))
-                    continue
-                acc.extend([v] * mult)
-                rec(rest_slots, v - 1, rest_total, doubles_left - (mult == 2), acc)
-                del acc[-mult:]
+                    buckets[hi - rest_total].append(head)
+                else:
+                    rec(rest_slots, v - 1, rest_total, doubles_left - (mult == 2), head)
 
     # least[s] = q(q-1+r) is the least sum of s = 2q+r values each used at
     # most twice; below a cap t their greatest is s*t - least[s]
     least = [s // 2 * (s // 2 - 1 + s % 2) for s in range(2 * N + b)]
+    # (multiplicity, slots left) of the next value with s slots to fill, a double first
+    singles = [((1, s - 1),) for s in range(2 * N + b + 1)]
+    moves = [((2, s - 2),) * (s >= 2) + single for s, single in enumerate(singles)]
     buckets: list[list[Parts]] = [[] for _ in range(hi + 1)]
     if N == b == 0:  # the one vector of length 0 is empty, of rank 0
         buckets[0].append(())
     else:
         target = f_stat(b, N, hi)
-        rec(2 * N + b, target, target, N, [])
+        rec(2 * N + b, target, target, N, ())
     return buckets
 
 

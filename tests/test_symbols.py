@@ -406,6 +406,7 @@ def symbol_by_formula(bp, b, N):
 
 
 def profile_by_definition(p, b, N, n):
+    """The value counts of p padded to 2N+b entries, or None if p is no sympartition."""
     length = 2 * N + b
     if len(p) > length or sum(p) != f_stat(b, N, n):
         return None
@@ -413,7 +414,7 @@ def profile_by_definition(p, b, N, n):
     doubles = sum(1 for c in counts.values() if c == 2)
     if any(c > 2 for c in counts.values()) or doubles > N or not all(v in counts for v in range(b)):
         return None
-    return dict(counts)
+    return counts
 
 
 # components with trailing zeros, as a caller may build them directly
@@ -454,15 +455,22 @@ def test_profile_matches_the_padded_counter_definition():
                     shapes = [p] + ([p + (0,) * (length - len(p))] if len(p) < length else [])
                     for q in shapes:
                         for m in (n, n + 1):
-                            expected = profile_by_definition(q, b, N, m)
+                            counts = profile_by_definition(q, b, N, m)
+                            if counts is None:
+                                with pytest.raises(NotSympartition):
+                                    _profile(q, b, N, m)
+                                continue
+                            # the padded vector smallest first, and how many values it doubles
+                            doubles = sum(1 for c in counts.values() if c == 2)
+                            expected = (tuple(sorted(counts.elements())), doubles)
                             assert _profile(q, b, N, m) == expected, (q, b, N, m)
-                            found += expected is not None
+                            found += 1
     assert found > 0
 
 
 def fiber_by_comprehensions(p, b, N, n):
     """The fiber as it was built before the one-pass walk: row lists per split."""
-    counts = _profile(p, b, N, n)
+    counts = profile_by_definition(p, b, N, n)
     values = sorted(counts, reverse=True)
     free = [v for v in reversed(values) if counts[v] == 1 and v >= b]
     for low in map(set, combinations(free, len(counts) - N - b)):
@@ -518,6 +526,28 @@ def test_from_sympartition_is_the_first_of_the_fiber():
                 assert from_sympartition(p, b, n, n) == next(_fiber(p, b, n, n)), (p, b, n)
                 families += 1
     assert families == 1407
+
+
+@st.composite
+def bipartitions_with_sizes(draw):
+    """A bipartition of rank n <= 12, a weight b <= 12 and N from its least admissible to 3 above."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    bips = enumerate_bipartitions(n)
+    bp = bips[draw(st.integers(min_value=0, max_value=len(bips) - 1))]
+    least = min_admissible(bp)
+    return bp, draw(st.integers(min_value=0, max_value=12)), draw(st.integers(least, least + 3))
+
+
+@given(bipartitions_with_sizes())
+def test_from_sympartition_round_trips_past_the_suite_grid(case):
+    # totals reach f(12, 15, 12) = 468, far past the 30 the suite stops at
+    bp, b, N = case
+    n = bp.rank
+    p = kappa(bp, b, N).entries
+    pre = from_sympartition(p, b, N, n)
+    assert kappa(pre, b, N).entries == p
+    assert pre in family_members(p, b, N, n)
+    assert pre == next(_fiber(p, b, N, n))
 
 
 def test_n_stat_matches_the_enumerate_definition():

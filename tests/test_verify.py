@@ -140,6 +140,26 @@ def test_range_search_order_is_pinned():
     assert digest.hexdigest() == ROUNDTRIP_BUCKETS_SHA256
 
 
+def test_roundtrip_keeps_every_check(monkeypatch):
+    # one call checks every vector: one preimage, one admissibility check and
+    # one kappa per vector, whatever the walk and the search cost
+    calls = {"from_sympartition": 0, "kappa": 0, "min_admissible": 0}
+
+    def counted(name):
+        wrapped = getattr(verify, name)
+
+        def call(*args):
+            calls[name] += 1
+            return wrapped(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    assert verify.suite_roundtrip(0, ()) == (True, "26128 sympartitions round-tripped")
+    assert calls == {"from_sympartition": 26128, "kappa": 26128, "min_admissible": 26128}
+
+
 def test_generator_yields_padded_sorted_vectors():
     for vec in _sympartitions_by_rank(2, 2, 4)[4]:
         assert len(vec) == 6
