@@ -12,10 +12,10 @@ The commands read what the process already holds rather than compute it
 again: families, avalues and chain print members from the rank's text
 table, and compare reads both a-values off the two kappas it compares.
 Every bipartition argument is read through Bipartition.parse's memo.
-chain reads each element's kappa off the family table and its text from
-the kappa-text memo _kappa_text, and each cover's witness, move, nu text
-and whole step text from the cover memo, so a warm chain parses, computes
-and renders nothing and its text output only joins the strings it holds.
+chain reads each element's kappa off the family table and each cover's
+witness, move, nu text and step text, its lower kappa's included, from
+the cover memo, so a warm text chain renders only its last kappa (and a
+step inside one family) and joins each element's text to its step's.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import lru_cache
 
 from .errors import (
     BSymbolsError,
@@ -32,7 +31,7 @@ from .errors import (
     NotComparable,
     RankMismatch,
 )
-from .partitions import Parts, _numeral, dominance_leq, format_partition
+from .partitions import _numeral, dominance_leq, format_partition
 from .symbols import Bipartition, _empty_n_stat, _rank_kappas, kappa, n_stat, symbol
 
 # The layers past symbols are imported inside the commands that use them: a
@@ -148,20 +147,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-# a step within one family: no move and no witness
-_FAMILY_STEP = (None, None, None, "\tmove=-\twitness=family")
-
-
-@lru_cache(maxsize=None)
-def _kappa_text(entries: Parts) -> str:
-    """A kappa as chain prints it, rendered once per process.
-
-    The key is the entries tuple the family table holds, so the memo adds
-    only the text.
-    """
-    return format_partition(entries)
-
-
 def cmd_chain(args: argparse.Namespace) -> int:
     from .adjacency import saturated_chain
     from .families import _texts, family_table
@@ -175,9 +160,12 @@ def cmd_chain(args: argparse.Namespace) -> int:
     table = family_table(a.rank, args.b)
     kappas = [table.families[table.position[x]].kappa.entries for x in chain]
     texts = list(map(_texts(table.n).__getitem__, chain))
-    # saturated_chain's steps between distinct kappas are covers by construction
+    # saturated_chain's steps between distinct kappas are covers by
+    # construction; a step within one family has no move and no witness
     steps = [
-        _FAMILY_STEP if kx == ky else _cover_witness(kx, ky, args.b)
+        _cover_witness(kx, ky, args.b)
+        if kx != ky
+        else (None, None, None, f"\tkappa={format_partition(kx)}\tmove=-\twitness=family")
         for kx, ky in zip(kappas, kappas[1:])
     ]
     if args.format == "json":
@@ -201,13 +189,9 @@ def cmd_chain(args: argparse.Namespace) -> int:
         }
         _print_json(doc)
     else:
-        tails = [step[3] for step in steps] + [""]  # the last element takes no step
-        print(
-            "\n".join(
-                f"{text}\tkappa={_kappa_text(kx)}{tail}"
-                for text, kx, tail in zip(texts, kappas, tails)
-            )
-        )
+        # the last element takes no step, only its kappa
+        tails = [step[3] for step in steps] + [f"\tkappa={format_partition(kappas[-1])}"]
+        print("\n".join(map(str.__add__, texts, tails)))
     return 0
 
 

@@ -3,14 +3,15 @@
 The enumeration of rank n is one text table, member to textual form in
 textual order, so each member of a rank is rendered once per process and
 every command that prints members (families, avalues, chain) reads its
-text there.  Two bipartitions of n lie in the same family exactly when
-their kappa vectors agree; the table below groups the whole of the rank-n
-set at the common admissible size N = n, attaches a-values, and indexes
-the families by kappa, so every module locates a kappa of rank n through
-it.  Its position map sends every member to its family's position, so a
-pair or chain query on members of the rank reads their kappas off the
-table and a warm chain computes no kappa.  The module also exposes the
-Hasse diagram of the dominance order on the distinct kappa values.
+text there; enumerate_bipartitions reads its keys and caches nothing.
+Two bipartitions of n lie in the same family exactly when their kappa
+vectors agree; the table below groups the whole of the rank-n set at the
+common admissible size N = n, attaches a-values, and indexes the
+families by kappa, so every module locates a kappa of rank n through it.
+Its position map sends every member to its family's position, so a pair
+or chain query on members of the rank reads their kappas off the table
+and a warm chain computes no kappa.  The module also exposes the Hasse
+diagram of the dominance order on the distinct kappa values.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .partitions import Parts, partitions_of
 from .symbols import Bipartition, Kappa, _empty_n_stat, kappa, n_stat
 
 
-@lru_cache(maxsize=None)
 def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
-    """All bipartitions of rank n, sorted by their textual form."""
+    """All bipartitions of rank n, sorted by their textual form: the text table's keys."""
     return tuple(_texts(n))
 
 

@@ -21,10 +21,10 @@ and its move, and checks what it builds with _witness_holds, the predicate
 behind witness_is_valid; witness_is_valid itself recomputes every kappa
 through real transposes, so it stays an independent check.  chain reads
 each cover's witness, move, the text of the witness's nu and the whole
-text of the step from _cover_witness, which memoizes _witness by the
-cover's kappas for the life of the process, so a warm chain builds and
-renders no witness and no move; a WitnessInvalid is raised again on every
-call, as a raise is never stored.
+text of the step, its lower kappa's included, from _cover_witness, which
+memoizes _witness by the cover's kappas for the life of the process, so a
+warm chain builds and renders no witness, no move and no cover's kappa; a
+WitnessInvalid is raised again on every call, as a raise is never stored.
 """
 
 from __future__ import annotations
@@ -127,14 +127,15 @@ def _cover_witness(lo: Parts, hi: Parts, b: int) -> tuple[InductionWitness, BoxM
     """The witness of the cover lo -> hi, its move, its nu's text and its step text.
 
     Built and rendered once per process.  The step text is what chain's
-    text output appends to the cover's lower element: its move, nu, l and
-    transposed fields.
+    text output appends to the cover's lower element: its kappa, move, nu,
+    l and transposed fields.
     """
     move = _single_move(lo, hi)
     w = _witness(lo, hi, b, move)
     nu = w.nu.text()
     flag = "yes" if w.transposed else "no"
-    return w, move, nu, f"\tmove={move}\tnu={nu}\tl={w.l}\ttransposed={flag}"
+    step = f"\tkappa={format_partition(lo)}\tmove={move}\tnu={nu}\tl={w.l}\ttransposed={flag}"
+    return w, move, nu, step
 
 
 def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:

@@ -904,12 +904,13 @@ def test_a_warm_pass_of_the_pinned_chains_renders_no_member_and_builds_no_witnes
     assert (len(pins), len(texts), len(witnesses)) == (96, 0, 0)
 
 
-def test_a_warm_pass_of_the_pinned_chains_parses_nothing_and_renders_no_kappa_or_move(
+def test_a_warm_pass_of_the_pinned_chains_parses_nothing_and_renders_only_each_last_kappa(
     capsys, monkeypatch
 ):
-    # the endpoints are in the parse memo, each kappa's text in chain's
-    # kappa-text memo and each cover's step text in the cover memo, so in
-    # either format a warm chain only joins strings it holds
+    # the endpoints are in the parse memo and each cover's step text, its
+    # lower kappa's included, in the cover memo, so a warm text chain renders
+    # only its last element's kappa and a warm JSON chain renders nothing;
+    # no pinned chain stays inside one family, whose step would be rendered
     from bsymbols import partitions
 
     pins, queries = warm_pinned_chains(capsys)
@@ -919,6 +920,9 @@ def test_a_warm_pass_of_the_pinned_chains_parses_nothing_and_renders_no_kappa_or
     for ns in as_json:
         assert ns.func(ns) == 0
         docs.append(capsys.readouterr().out)
+    # each chain's last element, whose kappa it prints at N = n, the rank
+    lasts = [(ns.b, Bipartition.parse(ns.bipartition2)) for ns in queries]
+    last_kappas = [(symbols.kappa(c, b, c.rank).entries,) for b, c in lasts]
     parses = counted_calls(
         monkeypatch, partitions.parse_partition, "parse_partition", {"bsymbols.symbols"}
     )
@@ -929,10 +933,12 @@ def test_a_warm_pass_of_the_pinned_chains_parses_nothing_and_renders_no_kappa_or
     move_text = partitions.BoxMove.__str__
     monkeypatch.setattr(partitions.BoxMove, "__str__", lambda m: moves.append(m) or move_text(m))
     replay(capsys, pins, queries)
+    assert (len(pins), len(parses), len(moves)) == (96, 0, 0)
+    assert renders == last_kappas
     for ns, doc in zip(as_json, docs):
         assert ns.func(ns) == 0
         assert capsys.readouterr().out == doc
-    assert (len(pins), len(parses), len(renders), len(moves)) == (96, 0, 0, 0)
+    assert (len(parses), len(renders), len(moves)) == (0, len(pins), 0)
 
 
 def test_compare_computes_each_kappa_once(capsys, monkeypatch):

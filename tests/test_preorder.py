@@ -339,7 +339,8 @@ def test_witness_builder_matches_the_reference_builder():
 def test_cover_witness_is_the_witness_of_its_cover():
     # chain reads _cover_witness: on every cover with n <= 8 and b <= n + 1 it
     # answers what _witness builds with the cover's move, the text of the
-    # witness's nu and the step text chain prints, cold and warm
+    # witness's nu and the step text chain prints after the lower element,
+    # its kappa included, cold and warm
     covers = [
         (families[i].kappa.entries, families[j].kappa.entries, b)
         for n in range(9)
@@ -353,7 +354,9 @@ def test_cover_witness_is_the_witness_of_its_cover():
         move = _single_move(lo, hi)
         w = preorder._witness(lo, hi, b, move)
         flag = {False: "no", True: "yes"}[w.transposed]
-        step = f"\tmove=Up({move.k1},{move.k2})\tnu={w.nu.text()}\tl={w.l}\ttransposed={flag}"
+        lo_text = ",".join(map(str, lo))
+        step = f"\tkappa={lo_text}\tmove=Up({move.k1},{move.k2})\tnu={w.nu.text()}\tl={w.l}"
+        step += f"\ttransposed={flag}"
         return w, move, w.nu.text(), step
 
     preorder._cover_witness.cache_clear()

@@ -132,6 +132,17 @@ def test_a_value_independent_of_admissible_size():
                 assert vals == {a_value(bp, b)}
 
 
+def test_a_value_is_affine_in_b_from_b_equal_n_minus_1():
+    # a(bp, b) = a(bp, n) + (b - n)|second| for every bp of rank n once
+    # b >= n - 1, and below that some bp of each rank n >= 2 breaks it
+    for n in range(8):
+        bips = enumerate_bipartitions(n)
+        at_n = {bp: a_value(bp, n) for bp in bips}
+        for b in range(n + 6):
+            broken = [bp for bp in bips if a_value(bp, b) != at_n[bp] + (b - n) * size(bp.second)]
+            assert (broken == []) == (b >= n - 1), (n, b, broken)
+
+
 def test_is_sympartition_examples():
     p = (7, 4, 4, 3, 2, 1, 1, 0)
     assert is_sympartition(p, 2, 3, 9)
