@@ -10,8 +10,10 @@ to compare whole ranks at once.  A pair is located through the family
 table's position map, member to family, so the queries read the pair's
 kappas off the table and a warm chain computes no kappa; a bipartition
 the map does not hold is located by its kappa.  This module also extracts
-the move, refines arbitrary comparisons into saturated chains, and checks
-the structural facts about adjacency frames used elsewhere.
+the move, refines arbitrary comparisons into saturated chains (_walk
+climbs the poset by family position, and saturated_chain maps the path
+to bipartitions), and checks the structural facts about adjacency frames
+used elsewhere.
 """
 
 from __future__ import annotations
@@ -161,6 +163,26 @@ def adjacency_move(a: Bipartition, c: Bipartition, b: int) -> BoxMove:
     return _single_move(*_cover_kappas(a, c, b))
 
 
+def _walk(a: Bipartition, c: Bipartition, b: int) -> tuple[FamilyTable, list[int]]:
+    """The rank's table and saturated_chain's path: each element's family position.
+
+    Between distinct families the path climbs to the first cover still
+    below c.  Inside one family it is [i] when a equals c and [i, i] when
+    it does not, so the path has one position per element of the chain.
+    """
+    table, poset, ia, ic = _located(a, c, b)
+    if ia == ic:
+        return table, [ia] if a == c else [ia, ia]
+    above, cover_up = poset.above, poset.cover_up
+    i, path = ia, [ia]
+    while i != ic:
+        for i in cover_up[i]:  # the first cover still below c
+            if i == ic or above[i] >> ic & 1:
+                break
+        path.append(i)
+    return table, path
+
+
 def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]:
     """A chain from a to c whose consecutive kappa values are adjacent.
 
@@ -168,18 +190,10 @@ def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]
     intermediate steps are represented by the textually first member of
     their family, so the chain is deterministic.
     """
-    table, poset, ia, ic = _located(a, c, b)
-    if ia == ic:
-        return [a] if a == c else [a, c]
-    above, cover_up = poset.above, poset.cover_up
-    path = [ia]
-    while path[-1] != ic:
-        for j in cover_up[path[-1]]:  # the first cover still below c
-            if j == ic or above[j] >> ic & 1:
-                path.append(j)
-                break
-    reps = [table.families[i].members[0] for i in path]
-    return [a] + reps[1:-1] + [c]
+    table, path = _walk(a, c, b)
+    if len(path) == 1:
+        return [a]
+    return [a, *(table.families[i].members[0] for i in path[1:-1]), c]
 
 
 def verify_double_break(fr: AdjacencyFrame) -> bool:

@@ -40,7 +40,7 @@ def _texts(n: int) -> dict[Bipartition, str]:
     if n < 0:
         raise ValueError("n must be >= 0")
     bips = [
-        Bipartition(a, c)
+        tuple.__new__(Bipartition, (a, c))
         for k in range(n + 1)
         for a in partitions_of(k)
         for c in partitions_of(n - k)

@@ -34,6 +34,8 @@ class Bipartition(NamedTuple):
 
     The NamedTuple constructor does not validate its components;
     bipartition() and Bipartition.parse do, and raise NotAPartition.
+    The package builds its own with tuple.__new__(Bipartition, ...), which
+    skips the NamedTuple's Python-level __new__ and gives the same value.
     """
 
     first: Parts
@@ -45,7 +47,7 @@ class Bipartition(NamedTuple):
 
     def transpose(self) -> "Bipartition":
         """Conjugate both components and swap them (tensoring by the sign)."""
-        return Bipartition(pt.transpose(self.second), pt.transpose(self.first))
+        return tuple.__new__(Bipartition, (pt.transpose(self.second), pt.transpose(self.first)))
 
     def text(self) -> str:
         return f"{format_partition(self.first)}|{format_partition(self.second)}"
@@ -75,12 +77,14 @@ def _parsed(text: str) -> Bipartition:
     if not sep or "|" in right:
         raise pt.NotAPartition(f"expected '<first>|<second>', got {text!r}")
     # parse_partition checks each component, so neither is checked again
-    return Bipartition(normalize(parse_partition(left)), normalize(parse_partition(right)))
+    parts = (normalize(parse_partition(left)), normalize(parse_partition(right)))
+    return tuple.__new__(Bipartition, parts)
 
 
 def bipartition(first: Sequence[int], second: Sequence[int]) -> Bipartition:
     """Validated, normalized constructor."""
-    return Bipartition(normalize(pt.as_partition(first)), normalize(pt.as_partition(second)))
+    parts = (normalize(pt.as_partition(first)), normalize(pt.as_partition(second)))
+    return tuple.__new__(Bipartition, parts)
 
 
 EMPTY = Bipartition((), ())
@@ -305,7 +309,6 @@ def _split(rising: Parts, b: int, low: int) -> Bipartition:
             if v > below1:
                 first.append(v - below1)
             below1 += 1
-    # tuple.__new__ builds the NamedTuple without its Python-level __new__
     return tuple.__new__(Bipartition, (tuple(first[::-1]), tuple(second[::-1])))
 
 

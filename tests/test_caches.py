@@ -1,4 +1,6 @@
+import subprocess
 import sys
+from pathlib import Path
 
 import bsymbols
 from bsymbols.adjacency import _poset
@@ -38,8 +40,7 @@ def test_clear_caches_empties_every_cache():
     oracle = preceq_oracle(4, 1)
     typea = preceq_typeA_oracle(4)
     texts = _texts(5)
-    hi, lo = (f.kappa.entries for f in family_table(3, 1).families[:2])  # a cover
-    witness = _cover_witness(lo, hi, 1)
+    witness = _cover_witness(3, 1, 1, 0)  # the second-largest kappa is covered by the largest
     parsed = Bipartition.parse("3,2|1")
     assert all(c.cache_info().currsize > 0 for c in CACHES)
     bsymbols.clear_caches()
@@ -50,6 +51,17 @@ def test_clear_caches_empties_every_cache():
     assert preceq_oracle(4, 1).rows == oracle.rows
     assert preceq_typeA_oracle(4).rows == typea.rows
     assert _texts(5) == texts
-    assert _cover_witness(lo, hi, 1) == witness
+    assert _cover_witness(3, 1, 1, 0) == witness
     reparsed = Bipartition.parse("3,2|1")
     assert reparsed == parsed and reparsed is not parsed
+
+
+def test_the_line_counter_counts_every_cache():
+    # tests/code_lines.py prints the figures the roadmap tracks for
+    # src/bsymbols/; its lru_cache count is the caches listed here
+    script = Path(__file__).resolve().parent / "code_lines.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
+    counts = dict(line.rsplit(": ", 1) for line in out.stdout.splitlines())
+    assert list(counts) == ["lines", "code lines", "lru_caches"]
+    assert 0 < int(counts["code lines"]) < int(counts["lines"])
+    assert int(counts["lru_caches"]) == len(CACHES)

@@ -468,6 +468,102 @@ def test_chain_reads_the_same_witnesses_cold_warm_and_cleared(capsys, b, fmt):
         assert run(capsys, *argv) == (0, golden, "")
 
 
+def reference_chain(a: Bipartition, c: Bipartition, b: int, covers: dict) -> tuple[str, dict]:
+    """chain's text stdout and JSON document for a -> c, from public calls only.
+
+    The elements are saturated_chain's and each kappa is computed at N = n.
+    A step between distinct kappas takes adjacency_move and witness_step,
+    kept in covers by its two elements; a step inside one family has
+    neither.
+    """
+    from bsymbols import adjacency_move, saturated_chain, witness_step
+
+    def digits(k):
+        return ",".join(map(str, k)) or "-"
+
+    chain = saturated_chain(a, c, b)
+    kappas = [symbols.kappa(x, b, a.rank).entries for x in chain]
+    texts = [x.text() for x in chain]
+    lines, steps = [], []
+    for t, (x, y) in enumerate(zip(chain, chain[1:])):
+        if kappas[t] == kappas[t + 1]:
+            move = w = None
+            lines.append(f"{texts[t]}\tkappa={digits(kappas[t])}\tmove=-\twitness=family")
+        else:
+            if (x, y) not in covers:
+                covers[x, y] = adjacency_move(x, y, b), witness_step(x, y, b)
+            move, w = covers[x, y]
+            flag = "yes" if w.transposed else "no"
+            lines.append(
+                f"{texts[t]}\tkappa={digits(kappas[t])}\tmove=Up({move.k1},{move.k2})"
+                f"\tnu={w.nu.text()}\tl={w.l}\ttransposed={flag}"
+            )
+        steps.append(
+            {
+                "step": t,
+                "from": texts[t],
+                "to": texts[t + 1],
+                "kappa_before": list(kappas[t]),
+                "kappa_after": list(kappas[t + 1]),
+                "move": None if move is None else [move.k1, move.k2],
+                "nu": None if w is None else w.nu.text(),
+                "l": None if w is None else w.l,
+                "transposed": None if w is None else w.transposed,
+            }
+        )
+    lines.append(f"{texts[-1]}\tkappa={digits(kappas[-1])}")
+    return "\n".join(lines) + "\n", {"b": b, "chain": texts, "steps": steps}
+
+
+def test_chain_matches_its_public_reference_cold_and_warm():
+    # every pair with kappa(a) <= kappa(c), n <= 5 and b <= n + 1, family
+    # hops and one-element chains included: chain's text and JSON stdout,
+    # first with every memo empty for the (n, b), then warm, against the
+    # reference; the chain walks by family position, the reference does
+    # not.  The text is compared byte for byte; the JSON is compared as
+    # its compact re-dump, which keeps key order, types and values (the
+    # indent=2 layout is pinned by the chain goldens)
+    import io
+    from contextlib import redirect_stdout
+
+    from bsymbols import dominance_leq, enumerate_bipartitions
+
+    def compact(doc):
+        return json.dumps(doc, separators=(",", ":"))
+
+    out = io.StringIO()
+    pairs = hops = steps = 0
+    for n in range(6):
+        members = enumerate_bipartitions(n)
+        for b in range(n + 2):
+            kappas = {x: symbols.kappa(x, b, n).entries for x in members}
+            covers = {}
+            cases = []
+            for a in members:
+                for c in members:
+                    if dominance_leq(kappas[a], kappas[c]):
+                        text, doc = reference_chain(a, c, b, covers)
+                        cases.append((a.text(), c.text(), text, compact(doc)))
+                        hops += a != c and kappas[a] == kappas[c]
+                        steps += len(doc["steps"])
+            pairs += len(cases)
+            bsymbols.clear_caches()
+            with redirect_stdout(out):
+                for _ in ("cold", "warm"):
+                    for a, c, text, doc in cases:
+                        for fmt in ("text", "json"):
+                            ns = argparse.Namespace(bipartition=a, bipartition2=c, b=b, format=fmt)
+                            assert cli.cmd_chain(ns) == 0
+                            got = out.getvalue()
+                            out.seek(0)
+                            out.truncate()
+                            if fmt == "text":
+                                assert got == text, (a, c, b)
+                            else:
+                                assert compact(json.loads(got)) == doc, (a, c, b)
+    assert (pairs, hops, steps) == (6085, 436, 23617)
+
+
 def test_verify_tripwire_exits_5(capsys, monkeypatch):
     from bsymbols import verify as verify_module
     from bsymbols.errors import NoSingleMove

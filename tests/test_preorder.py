@@ -337,20 +337,22 @@ def test_witness_builder_matches_the_reference_builder():
 
 
 def test_cover_witness_is_the_witness_of_its_cover():
-    # chain reads _cover_witness: on every cover with n <= 8 and b <= n + 1 it
-    # answers what _witness builds with the cover's move, the text of the
+    # chain reads _cover_witness by the cover's two family positions: on
+    # every cover with n <= 8 and b <= n + 1 it answers what _witness builds
+    # on the two kappas of the table with the cover's move, the text of the
     # witness's nu and the step text chain prints after the lower element,
     # its kappa included, cold and warm
     covers = [
-        (families[i].kappa.entries, families[j].kappa.entries, b)
+        (n, b, i, j)
         for n in range(9)
         for b in range(n + 2)
-        for families in [family_table(n, b).families]
         for i, ups in enumerate(_poset(n, b).cover_up)
         for j in ups
     ]
 
-    def built(lo, hi, b):
+    def built(n, b, i, j):
+        families = family_table(n, b).families
+        lo, hi = families[i].kappa.entries, families[j].kappa.entries
         move = _single_move(lo, hi)
         w = preorder._witness(lo, hi, b, move)
         flag = {False: "no", True: "yes"}[w.transposed]
@@ -361,14 +363,14 @@ def test_cover_witness_is_the_witness_of_its_cover():
 
     preorder._cover_witness.cache_clear()
     cold = {}
-    for lo, hi, b in covers:
-        cold[lo, hi, b] = preorder._cover_witness(lo, hi, b)
-        assert cold[lo, hi, b] == built(lo, hi, b)
+    for key in covers:
+        cold[key] = preorder._cover_witness(*key)
+        assert cold[key] == built(*key)
     assert preorder._cover_witness.cache_info().currsize == len(covers) == 4682
-    for lo, hi, b in covers:
-        warm = preorder._cover_witness(lo, hi, b)
-        assert warm is cold[lo, hi, b]
-        assert warm == built(lo, hi, b)
+    for key in covers:
+        warm = preorder._cover_witness(*key)
+        assert warm is cold[key]
+        assert warm == built(*key)
     assert preorder._cover_witness.cache_info().hits == len(covers)
     # both branches are among them
     assert {w.transposed for w, *_ in cold.values()} == {False, True}

@@ -369,6 +369,35 @@ def test_parse_memo_reads_equal_texts_as_one_bipartition():
         assert Bipartition.parse(text) == Bipartition((3, 2), (1,))
 
 
+def test_the_package_builds_exact_bipartitions():
+    # transpose, bipartition(), Bipartition.parse's memo and the rank's text
+    # table skip the NamedTuple's __new__; each gives an exact Bipartition
+    # equal to the one the NamedTuple constructor builds
+    from bsymbols.families import _texts
+    from bsymbols.partitions import transpose
+
+    for n in range(9):
+        reference = [
+            Bipartition(a, c)
+            for k in range(n + 1)
+            for a in partitions_of(k)
+            for c in partitions_of(n - k)
+        ]
+        members = list(_texts(n))
+        assert all(type(x) is Bipartition for x in members)
+        assert sorted(members) == sorted(reference)
+        for ref in reference:
+            built = (
+                ref.transpose(),
+                bipartition(list(ref.first), [*ref.second, 0]),
+                _parsed(ref.text()),
+                _parsed.__wrapped__(ref.text()),
+            )
+            expected = (Bipartition(transpose(ref.second), transpose(ref.first)), ref, ref, ref)
+            assert [type(x) for x in built] == [Bipartition] * 4
+            assert built == expected
+
+
 @pytest.mark.parametrize(
     "value, error",
     [
