@@ -76,12 +76,13 @@ def __dir__() -> list[str]:
 def clear_caches() -> None:
     """Empty the package's memo tables.
 
-    The rank and text tables, posets, oracle closures and chain cover
-    witnesses (each with its step text, the cover's lower kappa included)
-    are cached without bound for the life of the process; Bipartition.parse's memo
-    holds the last 1,024 texts.  A long-lived caller can drop them here.
-    Every value with a `cache_clear` in a loaded `bsymbols` module is
-    emptied; a module that is not loaded holds no cache.
+    The rank and text tables, posets, oracle closures and the chain
+    command's cover witnesses (cli._cover_witness, each with its step text,
+    the cover's lower kappa included) are cached without bound for the life
+    of the process; Bipartition.parse's memo holds the last 1,024 texts.  A
+    long-lived caller can drop them here.  Every value with a `cache_clear`
+    in a loaded `bsymbols` module, the CLI's included, is emptied; a module
+    that is not loaded holds no cache.
     """
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == __name__:

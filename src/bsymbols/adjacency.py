@@ -11,9 +11,9 @@ table's position map, member to family, so the queries read the pair's
 kappas off the table and a warm chain computes no kappa; a bipartition
 the map does not hold is located by its kappa.  This module also extracts
 the move, refines arbitrary comparisons into saturated chains (_walk
-climbs the poset by family position, and saturated_chain maps the path
-to bipartitions), and checks the structural facts about adjacency frames
-used elsewhere.
+climbs the poset by family position and returns the path's elements
+with it, for saturated_chain and the chain command alike), and checks
+the structural facts about adjacency frames used elsewhere.
 """
 
 from __future__ import annotations
@@ -163,16 +163,19 @@ def adjacency_move(a: Bipartition, c: Bipartition, b: int) -> BoxMove:
     return _single_move(*_cover_kappas(a, c, b))
 
 
-def _walk(a: Bipartition, c: Bipartition, b: int) -> tuple[FamilyTable, list[int]]:
-    """The rank's table and saturated_chain's path: each element's family position.
+def _walk(
+    a: Bipartition, c: Bipartition, b: int
+) -> tuple[FamilyTable, list[int], list[Bipartition]]:
+    """The rank's table, saturated_chain's path as family positions, and its elements.
 
     Between distinct families the path climbs to the first cover still
-    below c.  Inside one family it is [i] when a equals c and [i, i] when
-    it does not, so the path has one position per element of the chain.
+    below c, and each inner element is its family's first member.  Inside
+    one family the path is [i] when a equals c and [i, i] when it does
+    not, so the path has one position per element of the chain.
     """
     table, poset, ia, ic = _located(a, c, b)
     if ia == ic:
-        return table, [ia] if a == c else [ia, ia]
+        return (table, [ia], [a]) if a == c else (table, [ia, ia], [a, c])
     above, cover_up = poset.above, poset.cover_up
     i, path = ia, [ia]
     while i != ic:
@@ -180,7 +183,8 @@ def _walk(a: Bipartition, c: Bipartition, b: int) -> tuple[FamilyTable, list[int
             if i == ic or above[i] >> ic & 1:
                 break
         path.append(i)
-    return table, path
+    families = table.families
+    return table, path, [a, *(families[i].members[0] for i in path[1:-1]), c]
 
 
 def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]:
@@ -190,10 +194,7 @@ def saturated_chain(a: Bipartition, c: Bipartition, b: int) -> list[Bipartition]
     intermediate steps are represented by the textually first member of
     their family, so the chain is deterministic.
     """
-    table, path = _walk(a, c, b)
-    if len(path) == 1:
-        return [a]
-    return [a, *(table.families[i].members[0] for i in path[1:-1]), c]
+    return _walk(a, c, b)[2]
 
 
 def verify_double_break(fr: AdjacencyFrame) -> bool:

@@ -12,14 +12,16 @@ The commands read what the process already holds rather than compute it
 again: families, avalues and chain print members from the rank's text
 table, and compare reads both a-values off the two kappas it compares.
 Every bipartition argument is read through Bipartition.parse's memo.
-chain walks by family position through preorder._chain, its one import:
-the text table is looked up only for the two endpoints and each
-intermediate family's first member, each kappa it prints is read off the
-family table as families[i].kappa.entries, and each cover's witness,
-move, nu text and step text, its lower kappa's included, come from the
-cover memo by the cover's two positions.  So a warm text chain renders
-only its last kappa (and a step inside one family) and joins each
-element's text to its step's.
+chain takes its path, as family positions, and its elements from
+adjacency._walk, the walk behind saturated_chain, and writes every part
+of each line itself: the text table is looked up only for the path's
+elements, each kappa is read off the family table as
+families[i].kappa.entries, and each cover's witness, move, nu text and
+step text, its lower kappa's included, come from _cover_witness, the
+memo beside it keyed by the cover's two positions, which builds each
+entry with preorder._witness.  So a warm text chain renders only its
+last kappa (and a step inside one family) and joins each element's
+text to its step's; a chain inside one family loads no preorder.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from .errors import (
     BSymbolsError,
@@ -35,7 +38,7 @@ from .errors import (
     NotComparable,
     RankMismatch,
 )
-from .partitions import _numeral, dominance_leq, format_partition
+from .partitions import _numeral, _single_move, dominance_leq, format_partition
 from .symbols import Bipartition, _empty_n_stat, _rank_kappas, kappa, n_stat, symbol
 
 # The layers past symbols are imported inside the commands that use them: a
@@ -125,9 +128,9 @@ def cmd_avalues(args: argparse.Namespace) -> int:
     from .families import _texts, family_table
 
     table = family_table(args.n, args.b)
-    a = {m: f.a for f in table.families for m in f.members}
+    families, position = table.families, table.position
     # the text table is in textual order, and no two members share a text
-    print("\n".join(f"{text}\t{a[m]}" for m, text in _texts(args.n).items()))
+    print("\n".join(f"{text}\t{families[position[m]].a}" for m, text in _texts(args.n).items()))
     return 0
 
 
@@ -151,17 +154,45 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chain(args: argparse.Namespace) -> int:
-    # importing the module, not the name, skips a failed __path__ lookup on
-    # it: on CPython 3.11 half the cost of `from .preorder import _chain`
+@lru_cache(maxsize=None)
+def _cover_witness(n: int, b: int, i: int, j: int) -> tuple:
+    """The witness of a cover, its move, its nu's text and its step text.
+
+    The cover is i -> j, two family positions of family_table(n, b), the
+    lower family first; its two kappas are read off the table only when
+    the entry is built, once per process, and the witness is
+    preorder._witness's.  The step text is what chain's text output
+    appends to the cover's lower element: its kappa, move, nu, l and
+    transposed fields.  A WitnessInvalid is raised again on every call, as
+    a raise is never stored.
+    """
     from . import preorder
+    from .families import family_table
+
+    families = family_table(n, b).families
+    lo, hi = families[i].kappa.entries, families[j].kappa.entries
+    move = _single_move(lo, hi)
+    w = preorder._witness(lo, hi, b, move)
+    nu = w.nu.text()
+    flag = "yes" if w.transposed else "no"
+    step = f"\tkappa={format_partition(lo)}\tmove={move}\tnu={nu}\tl={w.l}\ttransposed={flag}"
+    return w, move, nu, step
+
+
+def cmd_chain(args: argparse.Namespace) -> int:
+    # importing the modules, not their names, skips a failed __path__
+    # lookup on each: on CPython 3.11 about a quarter of the cost
+    from . import adjacency, families
 
     a = Bipartition.parse(args.bipartition)
     c = Bipartition.parse(args.bipartition2)
-    families, path, texts, covers = preorder._chain(a, c, args.b)
+    table, path, chain = adjacency._walk(a, c, args.b)
+    texts = list(map(families._texts(table.n).__getitem__, chain))
+    n, fams = table.n, table.families
+    # a step inside one family has no cover, so no move and no witness
+    covers = [_cover_witness(n, args.b, i, j) if i != j else None for i, j in zip(path, path[1:])]
     if args.format == "json":
-        kappas = [list(families[i].kappa.entries) for i in path]
-        # a step inside one family has no move and no witness
+        kappas = [list(fams[i].kappa.entries) for i in path]
         steps = [cover or (None, None, None, None) for cover in covers]
         doc = {
             "b": args.b,
@@ -189,11 +220,11 @@ def cmd_chain(args: argparse.Namespace) -> int:
         lines = [
             text + cover[3]
             if cover
-            else f"{text}\tkappa={format_partition(families[i].kappa.entries)}\tmove=-"
+            else f"{text}\tkappa={format_partition(fams[i].kappa.entries)}\tmove=-"
             "\twitness=family"
             for text, cover, i in zip(texts, covers, path)
         ]
-        lines.append(f"{texts[-1]}\tkappa={format_partition(families[path[-1]].kappa.entries)}")
+        lines.append(f"{texts[-1]}\tkappa={format_partition(fams[path[-1]].kappa.entries)}")
         print("\n".join(lines))
     return 0
 
@@ -217,13 +248,12 @@ def cmd_hasse(args: argparse.Namespace) -> int:
     from .families import family_hasse, family_table
 
     table = family_table(args.n, args.b)
-    diagram = family_hasse(table)
     lines = [f"digraph families_n{args.n}_b{args.b} {{", "  rankdir=BT;"]
     lines += (
-        f'  k{i} [label="{format_partition(node.entries)}\\na={f.a}"];'
-        for i, (node, f) in enumerate(zip(diagram.nodes, table.families))
+        f'  k{i} [label="{format_partition(f.kappa.entries)}\\na={f.a}"];'
+        for i, f in enumerate(table.families)
     )
-    lines += (f"  k{i} -> k{j};" for i, j in diagram.edges)
+    lines += (f"  k{i} -> k{j};" for i, j in family_hasse(table).edges)
     lines.append("}")
     print("\n".join(lines))
     return 0

@@ -15,19 +15,13 @@ only the kappa at N = n, from which it finds both kinds of target itself;
 induction_targets and truncated_targets name the same targets as sets of
 bipartitions, read from the rank's family table.
 witness_step proves one dominance step adjacent and certifies it with
-_witness, the one witness builder, which the witness suite also calls
-directly.  A family is its kappa, so _witness takes a cover's two kappas
-and its move, and checks what it builds with _witness_holds, the predicate
-behind witness_is_valid; witness_is_valid itself recomputes every kappa
-through real transposes, so it stays an independent check.  chain reads
-each cover's witness, move, the text of the witness's nu and the whole
-text of the step, its lower kappa's included, from _cover_witness, which
-memoizes _witness for the life of the process by the cover's two family
-positions, (n, b, i, j), and reads the two kappas off the family table
-only when it builds an entry.  _chain walks saturated_chain's path by
-those positions, so a warm chain builds and renders no witness, no move
-and no cover's kappa, and hashes no kappa; a WitnessInvalid is raised
-again on every call, as a raise is never stored.
+_witness, the one witness builder, which the witness suite and the chain
+command's cover memo also call directly.  A family is its kappa, so
+_witness takes a cover's two kappas and its move, and checks what it
+builds with _witness_holds, the predicate behind witness_is_valid;
+witness_is_valid itself recomputes every kappa through real transposes,
+so it stays an independent check.  The CLI writes the chain command's
+output, each cover's step text included.
 """
 
 from __future__ import annotations
@@ -36,9 +30,9 @@ from functools import lru_cache
 from typing import NamedTuple, Set
 
 from ._util import GeneratedPreorder, generated_preorder
-from .adjacency import _cover_kappas, _walk
+from .adjacency import _cover_kappas
 from .errors import NotAPartition, NotSympartition, WitnessInvalid
-from .families import Family, _texts, enumerate_bipartitions, family_table
+from .families import enumerate_bipartitions, family_table
 from .partitions import (
     BoxMove, Parts, _is_increment, _shift_largest, _single_move, dominance_leq, format_partition
 )
@@ -123,47 +117,6 @@ def _witness(lo: Parts, hi: Parts, b: int, move: BoxMove) -> InductionWitness:
         cover = f"{format_partition(lo)} -> {format_partition(hi)}"
         raise WitnessInvalid(f"constructed witness fails its invariants: {w} for {cover}")
     return w
-
-
-@lru_cache(maxsize=None)
-def _cover_witness(n: int, b: int, i: int, j: int) -> tuple[InductionWitness, BoxMove, str, str]:
-    """The witness of a cover, its move, its nu's text and its step text.
-
-    The cover is i -> j, two family positions of family_table(n, b), the
-    lower family first; its two kappas are read off the table only when
-    the entry is built, once per process.  The step text is what chain's
-    text output appends to the cover's lower element: its kappa, move,
-    nu, l and transposed fields.
-    """
-    families = family_table(n, b).families
-    lo, hi = families[i].kappa.entries, families[j].kappa.entries
-    move = _single_move(lo, hi)
-    w = _witness(lo, hi, b, move)
-    nu = w.nu.text()
-    flag = "yes" if w.transposed else "no"
-    step = f"\tkappa={format_partition(lo)}\tmove={move}\tnu={nu}\tl={w.l}\ttransposed={flag}"
-    return w, move, nu, step
-
-
-def _chain(a: Bipartition, c: Bipartition, b: int) -> tuple[tuple[Family, ...], list, list, list]:
-    """chain's walk from a to c: the rank's families, the path, the elements' texts and the covers.
-
-    The path is saturated_chain's, one family position per element.  a
-    and c are members of their rank's text table, as every parsed
-    bipartition is; only they and each intermediate family's first member
-    are looked up there.  Each step's entry is its _cover_witness, keyed
-    by the step's two positions, or None for a step inside one family.
-    """
-    table, path = _walk(a, c, b)
-    n, families = table.n, table.families
-    texts = _texts(n)
-    if len(path) == 1:
-        elements = [texts[a]]
-    else:
-        inner = [texts[families[i].members[0]] for i in path[1:-1]]
-        elements = [texts[a], *inner, texts[c]]
-    covers = [_cover_witness(n, b, i, j) if i != j else None for i, j in zip(path, path[1:])]
-    return families, path, elements, covers
 
 
 def witness_step(a: Bipartition, c: Bipartition, b: int) -> InductionWitness:

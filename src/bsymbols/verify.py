@@ -434,12 +434,12 @@ def suite_witness(max_n: int, b_list: tuple[int, ...]):
     for n, b in product(range(max_n + 1), b_list):
         # a transposed witness is certified on duals: each must be the
         # table's kappa of the transpose, every member's transpose being a member
-        families = family_table(n, b).families
-        entries = {m: fam.kappa.entries for fam in families for m in fam.members}
+        table = family_table(n, b)
+        families, position = table.families, table.position
         for fam in families:
             dual = _dual(fam.kappa.entries, b, n)
             for m in fam.members:
-                if entries[m.transpose()] != dual:
+                if families[position[m.transpose()]].kappa.entries != dual:
                     yield f"kappa duality fails at {m.text()} (n={n}, b={b})"
         # one _witness per cover; every member pair counts, the first is named
         for low, high in _covers(n, b):

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import bsymbols
 from bsymbols.adjacency import _poset
+from bsymbols.cli import _cover_witness
 from bsymbols.families import _texts, family_table
 from bsymbols.partitions import partitions_of
-from bsymbols.preorder import _cover_witness, _oracle_rows, preceq_oracle
+from bsymbols.preorder import _oracle_rows, preceq_oracle
 from bsymbols.symbols import Bipartition, _parsed
 from bsymbols.typea import _typea_rows, preceq_typeA_oracle
 

@@ -445,9 +445,9 @@ def test_chain_memoizes_no_failed_cover(capsys, monkeypatch):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (5, "")
             assert "intentional tripwire" in err
-            assert preorder._cover_witness.cache_info().currsize == 0
+            assert cli._cover_witness.cache_info().currsize == 0
     assert run(capsys, *argv) == (0, pinned, "")
-    assert preorder._cover_witness.cache_info().currsize == 5
+    assert cli._cover_witness.cache_info().currsize == 5
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -522,11 +522,15 @@ def test_chain_matches_its_public_reference_cold_and_warm():
     # reference; the chain walks by family position, the reference does
     # not.  The text is compared byte for byte; the JSON is compared as
     # its compact re-dump, which keeps key order, types and values (the
-    # indent=2 layout is pinned by the chain goldens)
+    # indent=2 layout is pinned by the chain goldens).  The walk both share
+    # returns its path and its elements, and they agree: the ends are a and
+    # c, each inner element is its family's first member, and every
+    # element's family is its position on the path
     import io
     from contextlib import redirect_stdout
 
     from bsymbols import dominance_leq, enumerate_bipartitions
+    from bsymbols.adjacency import _walk
 
     def compact(doc):
         return json.dumps(doc, separators=(",", ":"))
@@ -542,6 +546,11 @@ def test_chain_matches_its_public_reference_cold_and_warm():
             for a in members:
                 for c in members:
                     if dominance_leq(kappas[a], kappas[c]):
+                        table, path, chain = _walk(a, c, b)
+                        assert len(chain) == len(path) and (chain[0], chain[-1]) == (a, c)
+                        for t in range(1, len(path) - 1):
+                            assert chain[t] == table.families[path[t]].members[0]
+                        assert [table.position[x] for x in chain] == path
                         text, doc = reference_chain(a, c, b, covers)
                         cases.append((a.text(), c.text(), text, compact(doc)))
                         hops += a != c and kappas[a] == kappas[c]
@@ -803,6 +812,7 @@ def test_closed_stdout_exits_141_quietly(argv, buffered):
 
 
 CORE ={"bsymbols", "bsymbols.cli", "bsymbols.errors", "bsymbols.partitions", "bsymbols.symbols"}
+RANK_POSET = CORE | {"bsymbols.families", "bsymbols.adjacency"}
 
 
 def test_each_subcommand_loads_only_its_modules():
@@ -820,16 +830,19 @@ def test_each_subcommand_loads_only_its_modules():
         (["kappa", "1,2|-", "--b", "1"], 2, CORE),
         (["families", "--n", "3", "--b", "1"], 0, CORE | {"bsymbols.families"}),
         (["avalues", "--n", "3", "--b", "1"], 0, CORE | {"bsymbols.families"}),
-        (["chain", "-|1,1,1", "3|-", "--b", "1"], 0, None),
-        (["hasse", "--n", "3", "--b", "1"], 0, None),
+        (["hasse", "--n", "3", "--b", "1"], 0, RANK_POSET),
+        # only a chain that crosses families builds witnesses
+        (
+            ["chain", "-|1,1,1", "3|-", "--b", "1"],
+            0,
+            RANK_POSET | {"bsymbols.preorder", "bsymbols._util"},
+        ),
+        (["chain", "1|-", "-|1", "--b", "0"], 0, RANK_POSET),
     ):
         got, *loaded = fresh(probe, *argv).split()
         assert int(got) == code, argv
         package = {m for m in loaded if m.split(".")[0] == "bsymbols"}
-        if expected is None:
-            assert not package & {"bsymbols.verify", "bsymbols.typea"}, argv
-        else:
-            assert package == expected, argv
+        assert package == expected, argv
         assert not set(loaded) & {"dataclasses", "json"}, argv
 
 

@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from bsymbols import preorder, symbols
+from bsymbols import cli, preorder, symbols
 from bsymbols._util import generated_preorder, iter_bits
 from bsymbols.adjacency import _poset, adjacency_move
 from bsymbols.errors import (
@@ -217,7 +217,7 @@ def adjacent_member_pairs(max_n):
     """(a, c, b, lo, hi, move) for every adjacent member pair with n <= max_n and b <= n + 1.
 
     lo and hi are the family table's kappas and move is read off them, as
-    suite_witness and _cover_witness hand them to the witness builder with b.
+    suite_witness and cli._cover_witness hand them to the witness builder with b.
     """
     for n in range(max_n + 1):
         for b in range(n + 2):
@@ -337,7 +337,7 @@ def test_witness_builder_matches_the_reference_builder():
 
 
 def test_cover_witness_is_the_witness_of_its_cover():
-    # chain reads _cover_witness by the cover's two family positions: on
+    # chain reads cli._cover_witness by the cover's two family positions: on
     # every cover with n <= 8 and b <= n + 1 it answers what _witness builds
     # on the two kappas of the table with the cover's move, the text of the
     # witness's nu and the step text chain prints after the lower element,
@@ -361,17 +361,17 @@ def test_cover_witness_is_the_witness_of_its_cover():
         step += f"\ttransposed={flag}"
         return w, move, w.nu.text(), step
 
-    preorder._cover_witness.cache_clear()
+    cli._cover_witness.cache_clear()
     cold = {}
     for key in covers:
-        cold[key] = preorder._cover_witness(*key)
+        cold[key] = cli._cover_witness(*key)
         assert cold[key] == built(*key)
-    assert preorder._cover_witness.cache_info().currsize == len(covers) == 4682
+    assert cli._cover_witness.cache_info().currsize == len(covers) == 4682
     for key in covers:
-        warm = preorder._cover_witness(*key)
+        warm = cli._cover_witness(*key)
         assert warm is cold[key]
         assert warm == built(*key)
-    assert preorder._cover_witness.cache_info().hits == len(covers)
+    assert cli._cover_witness.cache_info().hits == len(covers)
     # both branches are among them
     assert {w.transposed for w, *_ in cold.values()} == {False, True}
 
