@@ -7,13 +7,10 @@ Hasse query of rank n reads one cached dominance poset of all the rank's
 kappa values.  It is built on dominance_rows, a bit-parallel kernel over
 the prefix sums of any tuple of vectors, which the verify suites also use
 to compare whole ranks at once.  A pair is located through the family
-table's position map, member to family, so the queries read the pair's
-kappas off the table and a warm chain computes no kappa; a bipartition
-the map does not hold is located by its kappa.  This module also extracts
-the move, refines arbitrary comparisons into saturated chains (_walk
-climbs the poset by family position and returns the path's elements
-with it, for saturated_chain and the chain command alike), and checks
-the structural facts about adjacency frames used elsewhere.
+table's position map, so a warm chain computes no kappa.  This module
+also extracts the move, refines arbitrary comparisons into saturated
+chains (_walk serves saturated_chain and the chain command alike), and
+checks the structural facts about adjacency frames used elsewhere.
 """
 
 from __future__ import annotations

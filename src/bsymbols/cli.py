@@ -9,19 +9,8 @@ as NoSingleMove or WitnessInvalid, or a MemoryError from a weight or size
 too large to build) and 141 when the reader closed stdout early.
 
 The commands read what the process already holds rather than compute it
-again: families, avalues and chain print members from the rank's text
-table, and compare reads both a-values off the two kappas it compares.
-Every bipartition argument is read through Bipartition.parse's memo.
-chain takes its path, as family positions, and its elements from
-adjacency._walk, the walk behind saturated_chain, and writes every part
-of each line itself: the text table is looked up only for the path's
-elements, each kappa is read off the family table as
-families[i].kappa.entries, and each cover's witness, move, nu text and
-step text, its lower kappa's included, come from _cover_witness, the
-memo beside it keyed by the cover's two positions, which builds each
-entry with preorder._witness.  So a warm text chain renders only its
-last kappa (and a step inside one family) and joins each element's
-text to its step's; a chain inside one family loads no preorder.
+again, so a warm text chain renders only its last kappa (and a step
+inside one family); a chain inside one family loads no preorder.
 """
 
 from __future__ import annotations
@@ -39,7 +28,7 @@ from .errors import (
     RankMismatch,
 )
 from .partitions import _numeral, _single_move, dominance_leq, format_partition
-from .symbols import Bipartition, _empty_n_stat, _rank_kappas, kappa, n_stat, symbol
+from .symbols import Bipartition, _a, _rank_kappas, kappa, symbol
 
 # The layers past symbols are imported inside the commands that use them: a
 # process without bytecode caches compiles every module it imports, and most
@@ -66,6 +55,9 @@ def weight_list(text: str) -> tuple[int, ...]:
 def _print_json(doc: dict) -> None:
     import json  # only --format json needs it; text output keeps start-up lean
 
+    # indent=2 runs CPython's pure-Python encoder, several times the cost of
+    # the text form on a warm chain, but every JSON output's bytes are
+    # pinned, so the indent stays
     print(json.dumps(doc, indent=2))
 
 
@@ -74,8 +66,7 @@ def cmd_symbol(args: argparse.Namespace) -> int:
     s = symbol(bp, args.b, args.N)
     k = kappa(bp, args.b, args.N)
     if args.format == "json":
-        row1, row2, entries = list(s.row1), list(s.row2), list(k.entries)
-        _print_json({"b": s.b, "N": s.N, "row1": row1, "row2": row2, "kappa": entries})
+        _print_json({"b": s.b, "N": s.N, "row1": s.row1, "row2": s.row2, "kappa": k.entries})
     else:
         print(f"b: {s.b}")
         print(f"N: {s.N}")
@@ -105,7 +96,7 @@ def cmd_families(args: argparse.Namespace) -> int:
             "N": table.N,
             "families": [
                 {
-                    "kappa": list(f.kappa.entries),
+                    "kappa": f.kappa.entries,
                     "a": f.a,
                     "members": list(map(texts.__getitem__, f.members)),
                 }
@@ -147,10 +138,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         status = "INCOMPARABLE"
     # the a-value does not depend on N, so it is read off the kappas at N = n
-    base = _empty_n_stat(args.b, a.rank)
     print(status)
-    print(f"a({a.text()}) = {n_stat(ka) - base}")
-    print(f"a({c.text()}) = {n_stat(kc) - base}")
+    print(f"a({a.text()}) = {_a(ka, args.b, a.rank)}")
+    print(f"a({c.text()}) = {_a(kc, args.b, a.rank)}")
     return 0
 
 
@@ -192,7 +182,6 @@ def cmd_chain(args: argparse.Namespace) -> int:
     # a step inside one family has no cover, so no move and no witness
     covers = [_cover_witness(n, args.b, i, j) if i != j else None for i, j in zip(path, path[1:])]
     if args.format == "json":
-        kappas = [list(fams[i].kappa.entries) for i in path]
         steps = [cover or (None, None, None, None) for cover in covers]
         doc = {
             "b": args.b,
@@ -202,9 +191,9 @@ def cmd_chain(args: argparse.Namespace) -> int:
                     "step": t,
                     "from": texts[t],
                     "to": texts[t + 1],
-                    "kappa_before": kappas[t],
-                    "kappa_after": kappas[t + 1],
-                    "move": None if move is None else [move.k1, move.k2],
+                    "kappa_before": fams[path[t]].kappa.entries,
+                    "kappa_after": fams[path[t + 1]].kappa.entries,
+                    "move": move,
                     "nu": nu,
                     "l": None if w is None else w.l,
                     "transposed": None if w is None else w.transposed,

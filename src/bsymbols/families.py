@@ -1,17 +1,11 @@
 """Enumeration of bipartitions and their grouping into families.
 
-The enumeration of rank n is one text table, member to textual form in
-textual order, so each member of a rank is rendered once per process and
-every command that prints members (families, avalues, chain) reads its
-text there; enumerate_bipartitions reads its keys and caches nothing.
 Two bipartitions of n lie in the same family exactly when their kappa
 vectors agree; the table below groups the whole of the rank-n set at the
 common admissible size N = n, attaches a-values, and indexes the
 families by kappa, so every module locates a kappa of rank n through it.
-Its position map sends every member to its family's position, so a pair
-or chain query on members of the rank reads their kappas off the table
-and a warm chain computes no kappa.  The module also exposes the Hasse
-diagram of the dominance order on the distinct kappa values.
+The module also exposes the Hasse diagram of the dominance order on the
+distinct kappa values.
 """
 
 from __future__ import annotations
@@ -21,7 +15,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .partitions import Parts, partitions_of
-from .symbols import Bipartition, Kappa, _empty_n_stat, kappa, n_stat
+from .symbols import Bipartition, Kappa, _a, kappa
 
 
 def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
@@ -72,10 +66,9 @@ def family_table(n: int, b: int) -> FamilyTable:
     groups: dict[Parts, list[Bipartition]] = {}
     for bp in enumerate_bipartitions(n):
         groups.setdefault(kappa(bp, b, N).entries, []).append(bp)
-    base = _empty_n_stat(b, N)
     ordered = sorted(groups.items(), reverse=True)
     families = tuple(
-        Family(Kappa(entries, b, N), tuple(members), n_stat(entries) - base)
+        Family(Kappa(entries, b, N), tuple(members), _a(entries, b, N))
         for entries, members in ordered
     )
     index, position = {}, {}

@@ -14,14 +14,10 @@ every pair as an end-to-end check.  The oracle gives the shared kernel
 only the kappa at N = n, from which it finds both kinds of target itself;
 induction_targets and truncated_targets name the same targets as sets of
 bipartitions, read from the rank's family table.
-witness_step proves one dominance step adjacent and certifies it with
-_witness, the one witness builder, which the witness suite and the chain
-command's cover memo also call directly.  A family is its kappa, so
-_witness takes a cover's two kappas and its move, and checks what it
-builds with _witness_holds, the predicate behind witness_is_valid;
-witness_is_valid itself recomputes every kappa through real transposes,
-so it stays an independent check.  The CLI writes the chain command's
-output, each cover's step text included.
+_witness is the one witness builder, called by witness_step, the witness
+suite and the chain command's cover memo; a family is its kappa, so it
+takes a cover's two kappas and its move.  witness_is_valid recomputes
+every kappa through real transposes, so it stays an independent check.
 """
 
 from __future__ import annotations
@@ -49,8 +45,6 @@ def induction_targets(nu: Bipartition, l: int, b: int) -> Set[Bipartition]:
     """Bipartitions of rank(nu)+l whose kappa adds 1 to l entries of kappa(nu)."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    if b < 0:
-        raise ValueError("weight b must be >= 0")
     n = nu.rank + l
     base = kappa(nu, b, n).entries
     return {
@@ -65,8 +59,6 @@ def truncated_targets(nu: Bipartition, l: int, b: int) -> Set[Bipartition]:
     """The family obtained by incrementing the l largest entries of kappa(nu)."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    if b < 0:
-        raise ValueError("weight b must be >= 0")
     n = nu.rank + l
     table = family_table(n, b)
     i = table.index.get(_shift_largest(kappa(nu, b, n).entries, l, 1))

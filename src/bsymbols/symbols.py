@@ -225,18 +225,18 @@ def a_value(bp: Bipartition, b: int) -> int:
     Computed at the minimal admissible N, kappa's default; the result does
     not depend on that choice (checked by the verification suites).
     """
-    k = kappa(bp, b)
-    return n_stat(k) - _empty_n_stat(b, k.N)
+    return _a(*kappa(bp, b))
 
 
-def _empty_n_stat(b: int, N: int) -> int:
-    """n_stat of the empty bipartition's kappa at (b, N), in closed form.
+def _a(entries: Sequence[int], b: int, N: int) -> int:
+    """The a-value of a kappa at (b, N): its n_stat less the empty bipartition's.
 
-    That kappa is N + b - 1, ..., N once, then N - 1, ..., 0 twice each, so
-    its n_stat is sum_{i<b} i(N+b-1-i) + sum_{k<N} (2b+4k+1)(N-1-k),
-    summed here as one polynomial in b and N.
+    The empty bipartition's kappa is N + b - 1, ..., N once, then N - 1,
+    ..., 0 twice each, so its n_stat is sum_{i<b} i(N+b-1-i) +
+    sum_{k<N} (2b+4k+1)(N-1-k), summed here as one polynomial in b and N.
     """
-    return (b * (b - 1) * (3 * N + b - 2) + N * (N - 1) * (6 * b + 4 * N - 5)) // 6
+    empty = (b * (b - 1) * (3 * N + b - 2) + N * (N - 1) * (6 * b + 4 * N - 5)) // 6
+    return n_stat(entries) - empty
 
 
 def _profile(p: Sequence[int], b: int, N: int, n: int) -> tuple[Parts, int]:

@@ -84,8 +84,6 @@ def _typea_rows(n: int) -> tuple[int, ...]:
 
 def preceq_typeA_oracle(n: int) -> TypeAOracle:
     """Build the symmetric-group relation from the Pieri steps alone."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return TypeAOracle(n, partitions_of(n), _typea_rows(n))
 
 

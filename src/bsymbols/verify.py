@@ -12,19 +12,7 @@ counterexample's text.  A unit may name {seen}, the number of counts
 yielded; suite_double_break yields 0 for a cover outside the lemma.
 SUITES lists the suites in declaration order; ORACLE_SUITE is declared
 last.  The three rank-wide comparisons (the oracle, N-stability, type A)
-compare whole bitset rows from adjacency.dominance_rows, not pairs.  The
-round trip checks from_sympartition on every generated vector and counts
-each rank's bucket once it is checked; one search per (b, N) generates the
-vectors of all its ranks at once, carries each prefix as a tuple, places
-below b the one value that may come next with no loop, and records each
-vector where its last value completes it.  The witness suite calls
-preorder._witness, the one witness builder, once per cover on the table's
-kappas and counts every member pair; a transposed cover is certified on
-the duals of its kappas, so the suite checks each member's dual against
-its transpose's kappa.  The frame suite decides each window move from lo's
-neighbours (is it legal) and the prefix-sum slack P_hi - P_lo (does it
-stay at or below hi), with no vector built.  a-monotonicity decides each
-family's row with one AND against the mask of the families of larger a.
+compare whole bitset rows from adjacency.dominance_rows, not pairs.
 """
 
 from __future__ import annotations

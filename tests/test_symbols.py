@@ -22,8 +22,8 @@ from bsymbols.symbols import (
     _PARSE_MEMO_SIZE,
     EMPTY,
     Bipartition,
+    _a,
     _dual,
-    _empty_n_stat,
     _fiber,
     _profile,
     a_value,
@@ -115,9 +115,9 @@ def test_a_value_examples():
 
 
 def test_empty_n_stat_closed_form():
-    # a_value and family_table subtract this in place of building the empty kappa
+    # _a subtracts the empty kappa's n_stat in closed form, in place of building it
     for b, N in product(range(40), range(40)):
-        assert _empty_n_stat(b, N) == n_stat(kappa(EMPTY, b, N)), (b, N)
+        assert _a(kappa(EMPTY, b, N).entries, b, N) == 0, (b, N)
 
 
 def test_a_value_independent_of_admissible_size():
@@ -125,11 +125,12 @@ def test_a_value_independent_of_admissible_size():
         for b in range(5):
             for bp in enumerate_bipartitions(n):
                 base = min_admissible(bp)
-                vals = {
-                    n_stat(kappa(bp, b, N)) - n_stat(kappa(EMPTY, b, N))
-                    for N in range(base, base + 4)
-                }
-                assert vals == {a_value(bp, b)}
+                a = a_value(bp, b)
+                for N in range(base, base + 4):
+                    k = kappa(bp, b, N)
+                    assert n_stat(k) - n_stat(kappa(EMPTY, b, N)) == a, (bp, b, N)
+                    # family_table and compare call _a at N = n, above the least N
+                    assert _a(k.entries, b, N) == a, (bp, b, N)
 
 
 def test_a_value_is_affine_in_b_from_b_equal_n_minus_1():
