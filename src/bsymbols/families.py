@@ -33,11 +33,12 @@ def _texts(n: int) -> dict[Bipartition, str]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    sizes = [partitions_of(k) for k in range(n + 1)]
     bips = [
         tuple.__new__(Bipartition, (a, c))
         for k in range(n + 1)
-        for a in partitions_of(k)
-        for c in partitions_of(n - k)
+        for a in sizes[k]
+        for c in sizes[n - k]
     ]
     return dict(sorted(zip(bips, map(Bipartition.text, bips)), key=itemgetter(1)))
 

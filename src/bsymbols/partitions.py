@@ -12,7 +12,6 @@ the diagram are 0 and entries above the first row are +infinity.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import groupby, zip_longest
 from operator import ge, index
 from typing import Iterator, NamedTuple, Sequence
@@ -191,7 +190,6 @@ def break_points(p: Sequence[int], i: int, j: int) -> list[int]:
     return [k for k in range(i, j + 1) if gap(p, k - 1) >= 1 and gap(p, k) >= 1]
 
 
-@lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Parts, ...]:
     """All partitions of n in decreasing lexicographic order, normalized."""
     if n < 0:

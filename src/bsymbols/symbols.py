@@ -131,37 +131,36 @@ def _admitted(bp: Bipartition, b: int, N: int | None) -> tuple[Parts, Parts, int
     return first, second, N
 
 
-def symbol(bp: Bipartition, b: int, N: int | None = None) -> Symbol:
-    """The (b, N)-symbol of bp; N defaults to the minimal admissible value.
+def _rows(bp: Bipartition, b: int, N: int | None) -> tuple[list[int], list[int], int]:
+    """bp's two symbol rows at (b, N), each largest first, and N.
 
-    bp's components are not validated: build bp with bipartition() or
-    Bipartition.parse, which do, since a raw Bipartition of non-partitions
-    gives rows no bipartition has.
+    The one builder of a symbol row: in a row of length c, part l_j adds
+    l_j to c - j, and the missing parts leave the staircase c - len - 1,
+    ..., 0.  bp's components are not validated: build bp with
+    bipartition() or Bipartition.parse, which do, since a raw Bipartition
+    of non-partitions gives rows no bipartition has (Bipartition((1, 2),
+    ()) at b = 0 gives the kappa (2, 2, 1, 0)).
     """
     first, second, N = _admitted(bp, b, N)
     c = N + b
-    # smallest first: the staircase 0, ..., c - len - 1, then l_j + c - j for j = len, ..., 1
-    row1 = (*range(c - len(first)), *map(add, reversed(first), range(c - len(first), c)))
-    row2 = (*range(N - len(second)), *map(add, reversed(second), range(N - len(second), N)))
-    return Symbol(b, N, row2, row1)
+    row1 = [*map(add, first, count(c - 1, -1)), *range(c - 1 - len(first), -1, -1)]
+    row2 = [*map(add, second, count(N - 1, -1)), *range(N - 1 - len(second), -1, -1)]
+    return row1, row2, N
+
+
+def symbol(bp: Bipartition, b: int, N: int | None = None) -> Symbol:
+    """The (b, N)-symbol of bp, rows smallest first; N defaults to the least admissible value."""
+    row1, row2, N = _rows(bp, b, N)
+    return Symbol(b, N, tuple(row2[::-1]), tuple(row1[::-1]))
 
 
 def kappa(bp: Bipartition, b: int, N: int | None = None) -> Kappa:
     """All 2N+b symbol entries of bp sorted decreasingly.
 
-    One list holds both rows, largest first: in a row of length c, part
-    l_j adds l_j to c - j, and the missing parts leave the staircase
-    c - len - 1, ..., 0.  So the one sort merges two runs.  bp's components
-    are not validated: build bp with bipartition() or Bipartition.parse,
-    which do, since a raw Bipartition of non-partitions gives a vector no
-    bipartition has (Bipartition((1, 2), ()) at b = 0 gives (2, 2, 1, 0)).
+    Both rows come largest first, so the one in-place sort merges two runs.
     """
-    first, second, N = _admitted(bp, b, N)
-    c = N + b
-    entries = [
-        *map(add, first, count(c - 1, -1)), *range(c - 1 - len(first), -1, -1),
-        *map(add, second, count(N - 1, -1)), *range(N - 1 - len(second), -1, -1),
-    ]
+    entries, row2, N = _rows(bp, b, N)
+    entries += row2
     entries.sort(reverse=True)
     # tuple.__new__ builds the NamedTuple without its Python-level __new__
     return tuple.__new__(Kappa, (tuple(entries), b, N))

@@ -6,7 +6,6 @@ import bsymbols
 from bsymbols.adjacency import _poset
 from bsymbols.cli import _cover_witness
 from bsymbols.families import _texts, family_table
-from bsymbols.partitions import partitions_of
 from bsymbols.preorder import _oracle_rows, preceq_oracle
 from bsymbols.symbols import Bipartition, _parsed
 from bsymbols.typea import _typea_rows, preceq_typeA_oracle
@@ -18,13 +17,12 @@ CACHES = (
     _cover_witness,
     _typea_rows,
     _texts,
-    partitions_of,
     _parsed,
 )
 
 
 def test_the_listed_caches_are_every_cache_of_the_package():
-    assert len(CACHES) == 8
+    assert len(CACHES) == 7
     found = {
         id(value)
         for name, mod in list(sys.modules.items())
