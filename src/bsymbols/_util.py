@@ -63,16 +63,21 @@ def generated_preorder(n, elements_of, vector, lower_rows, transpose) -> tuple[i
 
 
 class GeneratedPreorder:
-    """A preorder on a tuple of elements: bit j of rows[i] relates element i to element j."""
+    """A preorder on a tuple of elements: bit j of rows[i] relates element i to element j.
 
-    def __init__(self, n: int, elements: tuple, rows: tuple[int, ...], label: Callable[..., str]):
+    holds reads each argument as read(x), its normal form, or read raises.
+    """
+
+    def __init__(self, n: int, elements: tuple, rows: tuple[int, ...], label: Callable, read: Callable):
         self.n = n
         self.elements = elements
         self._index = {x: i for i, x in enumerate(elements)}
         self.rows = rows
         self._label = label
+        self._read = read
 
     def holds(self, x, y) -> bool:
+        x, y = self._read(x), self._read(y)
         try:
             return bool(self.rows[self._index[x]] >> self._index[y] & 1)
         except KeyError as exc:

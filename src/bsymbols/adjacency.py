@@ -4,20 +4,17 @@ Two bipartitions of n with distinct kappa values are adjacent when no
 bipartition of n has a kappa strictly between them.  Adjacent pairs differ
 by a single box move on their kappa vectors.  Every adjacency, chain and
 Hasse query of rank n reads one cached dominance poset of all the rank's
-kappa values.  It is built on dominance_rows, a bit-parallel kernel over
-the prefix sums of any tuple of vectors, which the verify suites also use
-to compare whole ranks at once.  A pair is located through the family
+kappa values, families._poset.  A pair is located through the family
 table's position map, so a warm chain computes no kappa.  This module
-also extracts the move, refines arbitrary comparisons into saturated
-chains (_walk serves saturated_chain and the chain command alike), and
-checks the structural facts about adjacency frames used elsewhere.
+extracts the move, refines arbitrary comparisons into saturated chains
+(_walk serves saturated_chain and the chain command alike), and checks
+the structural facts about adjacency frames used elsewhere.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import (
     NotAdjacent,
@@ -26,7 +23,7 @@ from .errors import (
     PreconditionViolated,
     SizeMismatch,
 )
-from .families import FamilyTable, family_table
+from .families import FamilyTable, _poset, family_table
 from .partitions import BoxMove, Parts, _single_move, break_points, dominance_leq, gap, part, size
 from .symbols import Bipartition, Kappa, _common_rank, kappa
 
@@ -57,56 +54,6 @@ def frame(k: Kappa, k2: Kappa) -> AdjacencyFrame:
         j += 1
     assert part(lo, j) > part(hi, j) >= part(hi, j + 1) >= part(lo, j + 1)
     return AdjacencyFrame(k, k2, i, j)
-
-
-class Poset(NamedTuple):
-    """Nodes are the positions of the families in family_table(n, b)."""
-
-    above: tuple[int, ...]  # bitmask of the nodes strictly dominating node i
-    cover_up: tuple[tuple[int, ...], ...]  # covers of node i, increasing kappa
-
-
-def dominance_rows(vectors: Sequence[Parts]) -> tuple[int, ...]:
-    """Row i is the bitmask of the j whose vector dominates vectors[i].
-
-    The vectors have one length and one total; i itself and every vector
-    equal to vectors[i] are in row i.  A pass over the positions keeps the
-    prefix sums and narrows each row, which starts full, to the j whose
-    sum is at least its own.
-    """
-    m = len(vectors)
-    rows = [(1 << m) - 1] * m
-    sums = [0] * m
-    for column in zip(*vectors):
-        sums = [s + x for s, x in zip(sums, column)]
-        at_least: dict[int, int] = {}
-        mask = 0
-        for i in sorted(range(m), key=sums.__getitem__, reverse=True):
-            mask |= 1 << i
-            at_least[sums[i]] = mask
-        rows = [r & at_least[s] for r, s in zip(rows, sums)]
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _poset(n: int, b: int) -> Poset:
-    """Dominance poset of the distinct kappa vectors of rank n at N = n.
-
-    The families' kappas are distinct, so a node's dominance row without
-    the node itself is strict dominance.  Covers are taken smallest kappa
-    first: that one is a cover, and all above it is dropped.
-    """
-    rows = dominance_rows([f.kappa.entries for f in family_table(n, b).families])
-    above = [row ^ 1 << i for i, row in enumerate(rows)]
-    cover_up = []
-    for rest in above:
-        ups = []
-        while rest:
-            j = rest.bit_length() - 1
-            ups.append(j)
-            rest &= ~(above[j] | 1 << j)
-        cover_up.append(tuple(ups))
-    return Poset(tuple(above), tuple(cover_up))
 
 
 def _node(table: FamilyTable, x: Bipartition) -> int:

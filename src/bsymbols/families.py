@@ -4,8 +4,9 @@ Two bipartitions of n lie in the same family exactly when their kappa
 vectors agree; the table below groups the whole of the rank-n set at the
 common admissible size N = n, attaches a-values, and indexes the
 families by kappa, so every module locates a kappa of rank n through it.
-The module also exposes the Hasse diagram of the dominance order on the
-distinct kappa values.
+The module also holds the dominance poset of those kappas (_poset, built
+on partitions.dominance_rows), which the adjacency layer reads, and the
+Hasse diagram of its covers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .partitions import Parts, partitions_of
+from .partitions import Parts, dominance_rows, partitions_of
 from .symbols import Bipartition, Kappa, _a, kappa
 
 
@@ -79,6 +80,34 @@ def family_table(n: int, b: int) -> FamilyTable:
     return FamilyTable(n, b, N, families, index, position)
 
 
+class Poset(NamedTuple):
+    """Nodes are the positions of the families in family_table(n, b)."""
+
+    above: tuple[int, ...]  # bitmask of the nodes strictly dominating node i
+    cover_up: tuple[tuple[int, ...], ...]  # covers of node i, increasing kappa
+
+
+@lru_cache(maxsize=None)
+def _poset(n: int, b: int) -> Poset:
+    """Dominance poset of the distinct kappa vectors of rank n at N = n.
+
+    The families' kappas are distinct, so a node's dominance row without
+    the node itself is strict dominance.  Covers are taken smallest kappa
+    first: that one is a cover, and all above it is dropped.
+    """
+    rows = dominance_rows([f.kappa.entries for f in family_table(n, b).families])
+    above = [row ^ 1 << i for i, row in enumerate(rows)]
+    cover_up = []
+    for rest in above:
+        ups = []
+        while rest:
+            j = rest.bit_length() - 1
+            ups.append(j)
+            rest &= ~(above[j] | 1 << j)
+        cover_up.append(tuple(ups))
+    return Poset(tuple(above), tuple(cover_up))
+
+
 class HasseDiagram(NamedTuple):
     nodes: tuple[Kappa, ...]  # decreasing kappa, same order as the family table
     edges: tuple[tuple[int, int], ...]  # (i, j) with nodes[i] covered by nodes[j]
@@ -87,11 +116,9 @@ class HasseDiagram(NamedTuple):
 def family_hasse(table: FamilyTable) -> HasseDiagram:
     """Covering relation of dominance on the distinct kappa values.
 
-    Reads the covers of the rank's cached dominance poset (`_poset` in the
-    adjacency module), so the comparisons run once per (n, b) in a process.
+    Reads the covers of the rank's cached dominance poset, `_poset`, so
+    the comparisons run once per (n, b) in a process.
     """
-    from .adjacency import _poset  # adjacency imports this module
-
     cover_up = _poset(table.n, table.b).cover_up
     nodes = tuple(f.kappa for f in table.families)
     # covers come in increasing kappa, which is decreasing index

@@ -107,6 +107,28 @@ def dominance_lt(p: Sequence[int], q: Sequence[int]) -> bool:
     return dominance_leq(p, q) and normalize(p) != normalize(q)
 
 
+def dominance_rows(vectors: Sequence[Parts]) -> tuple[int, ...]:
+    """Row i is the bitmask of the j whose vector dominates vectors[i].
+
+    The vectors have one length and one total; i itself and every vector
+    equal to vectors[i] are in row i.  A pass over the positions keeps the
+    prefix sums and narrows each row, which starts full, to the j whose
+    sum is at least its own.
+    """
+    m = len(vectors)
+    rows = [(1 << m) - 1] * m
+    sums = [0] * m
+    for column in zip(*vectors):
+        sums = [s + x for s, x in zip(sums, column)]
+        at_least: dict[int, int] = {}
+        mask = 0
+        for i in sorted(range(m), key=sums.__getitem__, reverse=True):
+            mask |= 1 << i
+            at_least[sums[i]] = mask
+        rows = [r & at_least[s] for r, s in zip(rows, sums)]
+    return tuple(rows)
+
+
 def transpose(p: Sequence[int]) -> Parts:
     """Conjugate partition, always returned in normalized form.
 

@@ -32,7 +32,7 @@ from .families import enumerate_bipartitions, family_table
 from .partitions import (
     BoxMove, Parts, _is_increment, _shift_largest, _single_move, dominance_leq, format_partition
 )
-from .symbols import Bipartition, _dual, _rank_kappas, from_sympartition, kappa
+from .symbols import Bipartition, _dual, _rank_kappas, bipartition, from_sympartition, kappa
 
 
 class InductionWitness(NamedTuple):
@@ -133,7 +133,7 @@ class PreceqOracle(GeneratedPreorder):
     """The relation generated by the elementary steps at one rank."""
 
     def __init__(self, n: int, bipartitions: tuple[Bipartition, ...], rows: tuple[int, ...]):
-        super().__init__(n, bipartitions, rows, Bipartition.text)
+        super().__init__(n, bipartitions, rows, Bipartition.text, lambda bp: bipartition(*bp))
         self.bipartitions = bipartitions
 
 

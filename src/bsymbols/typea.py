@@ -64,11 +64,8 @@ class TypeAOracle(GeneratedPreorder):
     """The relation generated by the Pieri steps at one rank."""
 
     def __init__(self, n: int, partitions: tuple[Parts, ...], rows: tuple[int, ...]):
-        super().__init__(n, partitions, rows, format_partition)
+        super().__init__(n, partitions, rows, format_partition, lambda p: normalize(as_partition(p)))
         self.partitions = partitions
-
-    def holds(self, p: Parts, q: Parts) -> bool:
-        return super().holds(normalize(as_partition(p)), normalize(as_partition(q)))
 
 
 @lru_cache(maxsize=None)

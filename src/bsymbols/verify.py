@@ -12,7 +12,7 @@ counterexample's text.  A unit may name {seen}, the number of counts
 yielded; suite_double_break yields 0 for a cover outside the lemma.
 SUITES lists the suites in declaration order; ORACLE_SUITE is declared
 last.  The three rank-wide comparisons (the oracle, N-stability, type A)
-compare whole bitset rows from adjacency.dominance_rows, not pairs.
+compare whole bitset rows from partitions.dominance_rows, not pairs.
 """
 
 from __future__ import annotations
@@ -22,14 +22,15 @@ from itertools import accumulate, groupby, product
 from math import comb
 from typing import Callable, Iterator, NamedTuple
 
-from .adjacency import _poset, dominance_rows, frame, verify_double_break
+from .adjacency import frame, verify_double_break
 from .errors import NotAPartition, NotSympartition, PreconditionViolated, WitnessInvalid
-from .families import enumerate_bipartitions, family_table
+from .families import _poset, enumerate_bipartitions, family_table
 from .partitions import (
     BoxMove,
     Parts,
     _single_move,
     dominance_leq,
+    dominance_rows,
     dominance_lt,
     down,
     overlap_count,

@@ -1,9 +1,7 @@
 import pytest
 
 from bsymbols.adjacency import (
-    _poset,
     adjacency_move,
-    dominance_rows,
     frame,
     is_adjacent,
     saturated_chain,
@@ -15,8 +13,8 @@ from bsymbols.errors import (
     NotStrictlyDominated,
     PreconditionViolated,
 )
-from bsymbols.families import enumerate_bipartitions, family_hasse, family_table
-from bsymbols.partitions import BoxMove, dominance_leq, padded, partitions_of, up
+from bsymbols.families import _poset, enumerate_bipartitions, family_hasse, family_table
+from bsymbols.partitions import BoxMove, dominance_leq, dominance_rows, padded, partitions_of, up
 from bsymbols.symbols import Bipartition, Kappa, kappa
 
 

@@ -3,9 +3,8 @@ import sys
 from pathlib import Path
 
 import bsymbols
-from bsymbols.adjacency import _poset
 from bsymbols.cli import _cover_witness
-from bsymbols.families import _texts, family_table
+from bsymbols.families import _poset, _texts, family_table
 from bsymbols.preorder import _oracle_rows, preceq_oracle
 from bsymbols.symbols import Bipartition, _parsed
 from bsymbols.typea import _typea_rows, preceq_typeA_oracle

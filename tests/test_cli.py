@@ -830,7 +830,7 @@ def test_each_subcommand_loads_only_its_modules():
         (["kappa", "1,2|-", "--b", "1"], 2, CORE),
         (["families", "--n", "3", "--b", "1"], 0, CORE | {"bsymbols.families"}),
         (["avalues", "--n", "3", "--b", "1"], 0, CORE | {"bsymbols.families"}),
-        (["hasse", "--n", "3", "--b", "1"], 0, RANK_POSET),
+        (["hasse", "--n", "3", "--b", "1"], 0, CORE | {"bsymbols.families"}),
         # only a chain that crosses families builds witnesses
         (
             ["chain", "-|1,1,1", "3|-", "--b", "1"],

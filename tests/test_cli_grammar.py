@@ -14,17 +14,26 @@ A part that large is drawn only into the bipartition of `symbol` and
 `kappa`, whose rows are as long as the parts are many; a pair's rank is
 the size N of its kappas, so the near misses of a pair keep their parts
 small.
+
+A draw that exits 0 prints what the library gives, checked field by field
+against the library call on the arguments of the namespace that cli's
+parser built, so no rule of argparse is derived here again.
 """
 
 import io
+import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
 from bsymbols import cli
-from bsymbols.families import enumerate_bipartitions
-from bsymbols.symbols import Bipartition
+from bsymbols.adjacency import saturated_chain
+from bsymbols.families import enumerate_bipartitions, family_hasse, family_table
+from bsymbols.partitions import format_partition
+from bsymbols.preorder import preceq
+from bsymbols.symbols import Bipartition, a_value, kappa, symbol
+from bsymbols.verify import run_suites
 
 # the exit codes of the contract, 141 (a closed stdout) aside
 CODES = {0, 1, 2, 3, 4, 5}
@@ -187,26 +196,95 @@ def argvs(draw):
     return [command, *tokens]
 
 
-def run_main(argv: list[str]) -> tuple[int, str, str]:
-    """cli.main's exit code, stdout and stderr.
+def run_main(argv: list[str]) -> tuple[int, str, str, list]:
+    """cli.main's exit code, stdout and stderr, and the namespaces its parser built.
 
-    Any exception but SystemExit escapes, as it would escape a process
-    with a traceback.
+    cli.build_parser is wrapped for the call, so a namespace is the one
+    main hands to its command.  Any exception but SystemExit escapes, as
+    it would escape a process with a traceback.
     """
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage errors and -h
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    build, parsed = cli.build_parser, []
+
+    def recording_parser():
+        parser = build()
+        parse_args = parser.parse_args
+
+        def recording_parse_args(*args):
+            parsed.append(parse_args(*args))
+            return parsed[-1]
+
+        parser.parse_args = recording_parse_args
+        return parser
+
+    cli.build_parser = recording_parser
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors and -h
+                code = exc.code
+    finally:
+        cli.build_parser = build
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+def check_library_answer(args, out: str) -> None:
+    """Check the stdout of a command that exited 0 against the library on its arguments."""
+    command = args.func.__name__.removeprefix("cmd_")
+    lines = out.splitlines()
+    doc = json.loads(out) if getattr(args, "format", None) == "json" else None
+    if command in ("symbol", "kappa"):
+        bp = Bipartition.parse(args.bipartition)
+        s, k = symbol(bp, args.b, args.N), kappa(bp, args.b, args.N).entries
+        if doc is not None:
+            assert doc == {"b": s.b, "N": s.N, "row1": [*s.row1], "row2": [*s.row2], "kappa": [*k]}
+        else:
+            assert lines[-1].removeprefix("kappa: ") == format_partition(k)
+    elif command == "compare":
+        a, c = Bipartition.parse(args.bipartition), Bipartition.parse(args.bipartition2)
+        status = {(True, True): "EQ", (True, False): "LEQ", (False, True): "GEQ"}
+        assert lines[0] == status.get((preceq(a, c, args.b), preceq(c, a, args.b)), "INCOMPARABLE")
+        assert lines[1:] == [f"a({x.text()}) = {a_value(x, args.b)}" for x in (a, c)]
+    elif command == "chain":
+        a, c = Bipartition.parse(args.bipartition), Bipartition.parse(args.bipartition2)
+        texts = [x.text() for x in saturated_chain(a, c, args.b)]
+        assert (doc["chain"] if doc else [line.split("\t")[0] for line in lines]) == texts
+    elif command == "hasse":
+        edges = family_hasse(family_table(args.n, args.b)).edges
+        assert [line for line in lines if "->" in line] == [f"  k{i} -> k{j};" for i, j in edges]
+    elif command == "avalues":
+        rows = [line.split("\t") for line in lines]
+        assert [text for text, _ in rows] == [bp.text() for bp in enumerate_bipartitions(args.n)]
+        assert all(int(a) == a_value(Bipartition.parse(text), args.b) for text, a in rows)
+    elif command == "families":  # every member once, each with its family's kappa at N = n and a
+        if doc is not None:
+            rows = [(format_partition(f["kappa"]), f["a"], f["members"]) for f in doc["families"]]
+        else:
+            fields = (line.split("\t") for line in lines)
+            rows = [(k, a, members.split(";")) for k, a, _, members in fields]
+        texts = sorted(m for *_, members in rows for m in members)
+        assert texts == sorted(bp.text() for bp in enumerate_bipartitions(args.n))
+        for k, a, members in rows:
+            for bp in map(Bipartition.parse, members):
+                assert format_partition(kappa(bp, args.b, args.n).entries) == k
+                assert a_value(bp, args.b) == int(a)
+    else:
+        assert command == "verify", command
+        results = run_suites(args.max_n, args.b_list, oracle=args.oracle)
+        assert lines == [*(f"PASS {r.name} ({r.detail})" for r in results), "OK"]
 
 
 @settings(max_examples=100, deadline=None)
 @given(argvs())
 def test_generated_argv_keeps_the_exit_code_contract(argv):
-    code, out, err = run_main(argv)
+    code, out, err, parsed = run_main(argv)
     assert code in CODES, (argv, code, err)
     assert "Traceback" not in err
     if code:
         assert out == "", argv
+    elif not parsed:  # -h: argparse printed its help and built no namespace
+        assert out.startswith("usage: bsymbols"), argv
+    else:
+        (args,) = parsed
+        check_library_answer(args, out)

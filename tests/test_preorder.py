@@ -7,7 +7,7 @@ import pytest
 
 from bsymbols import cli, preorder, symbols
 from bsymbols._util import generated_preorder, iter_bits
-from bsymbols.adjacency import _poset, adjacency_move
+from bsymbols.adjacency import adjacency_move
 from bsymbols.errors import (
     NotAdjacent,
     NotAPartition,
@@ -15,7 +15,7 @@ from bsymbols.errors import (
     RankMismatch,
     WitnessInvalid,
 )
-from bsymbols.families import enumerate_bipartitions, family_table
+from bsymbols.families import _poset, enumerate_bipartitions, family_table
 from bsymbols.partitions import (
     _is_increment,
     _shift_largest,
@@ -474,6 +474,26 @@ def test_oracle_rank3_examples():
         assert oracle.holds(bp, bp)
     assert oracle.holds(Bipartition.parse("1,1|1"), Bipartition.parse("1|2"))
     assert not oracle.holds(Bipartition.parse("1|2"), Bipartition.parse("1,1|1"))
+
+
+def test_the_oracle_reads_a_raw_bipartition_as_its_normal_form():
+    # preceq and the adjacency queries answer a raw Bipartition with trailing
+    # zeros as its normal form, and so does the oracle, as bipartition() reads it
+    def raw(bp):
+        return Bipartition(bp.first + (0,), bp.second + (0, 0))
+
+    elements = enumerate_bipartitions(3)
+    for b in range(5):
+        oracle = preceq_oracle(3, b)
+        for x, y in product(elements, repeat=2):
+            expected = oracle.holds(x, y)
+            assert oracle.holds(raw(x), y) == oracle.holds(x, raw(y)) == expected
+            assert oracle.holds(raw(x), raw(y)) == expected == preceq(raw(x), raw(y), b)
+    top = Bipartition.parse("3|-")
+    with pytest.raises(NotAPartition):
+        preceq_oracle(3, 1).holds(Bipartition((1, 2), ()), top)
+    with pytest.raises(NotAPartition):
+        preceq_oracle(3, 1).holds(top, Bipartition((2,), (-1,)))
 
 
 def test_oracle_families_are_equivalence_classes():

@@ -8,14 +8,15 @@ import pytest
 
 from bsymbols import cli, preorder, symbols, verify
 from bsymbols._util import iter_bits
-from bsymbols.adjacency import _poset, dominance_rows, frame, verify_double_break
+from bsymbols.adjacency import frame, verify_double_break
 from bsymbols.errors import NotAPartition, NotSympartition, WitnessInvalid
-from bsymbols.families import enumerate_bipartitions, family_table
+from bsymbols.families import _poset, enumerate_bipartitions, family_table
 from bsymbols.partitions import (
     BoxMove,
     _single_move,
     dominance_leq,
     dominance_lt,
+    dominance_rows,
     overlap_count,
     padded,
     partitions_of,
